@@ -1,5 +1,6 @@
 //! Spectral-flavored centralities: eigenvector centrality and
-//! personalized PageRank (random walk with restart).
+//! personalized PageRank (random walk with restart). Both pull over the
+//! in-rows of the graph version's [`ringo_graph::Topology`].
 
 use crate::pagerank::PageRankConfig;
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
@@ -15,27 +16,25 @@ pub fn eigenvector_centrality<G: DirectedTopology>(
     tol: f64,
     threads: usize,
 ) -> Vec<(NodeId, f64)> {
-    let n_slots = g.n_slots();
     if g.node_count() == 0 {
         return Vec::new();
     }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let mut score: Vec<f64> = live.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
+    let mut score: Vec<f64> = (0..n_slots)
+        .map(|s| if topo.is_live(s) { 1.0 } else { 0.0 })
+        .collect();
     normalize_l2(&mut score);
     let mut next = vec![0.0f64; n_slots];
     for _ in 0..max_iters {
         {
             let score_ref = &score;
-            let live_ref = &live;
             parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    *out = if live_ref[s] {
-                        let pulled: f64 = g
-                            .in_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&u| score_ref[g.slot_of(u).expect("neighbor exists")])
-                            .sum();
+                    *out = if topo.is_live(s) {
+                        let pulled: f64 =
+                            topo.in_row(s).iter().map(|&u| score_ref[u as usize]).sum();
                         // Shifted iteration (A + I): same eigenvectors,
                         // but converges on bipartite graphs where plain
                         // power iteration oscillates.
@@ -67,59 +66,53 @@ pub fn eigenvector_centrality<G: DirectedTopology>(
 /// both the restart mass and the dangling mass return to the `seeds` set
 /// (uniformly across seeds). Scores sum to 1. Seeds absent from the graph
 /// are ignored; returns an empty vector when no seed is present.
+///
+/// Like [`crate::pagerank()`], it keeps the rank (updated in place) and
+/// the per-slot contribution it pulls from.
 pub fn personalized_pagerank<G: DirectedTopology>(
     g: &G,
     seeds: &[NodeId],
     config: &PageRankConfig,
 ) -> Vec<(NodeId, f64)> {
-    let n_slots = g.n_slots();
     let seed_slots: Vec<usize> = seeds.iter().filter_map(|&s| g.slot_of(s)).collect();
     if seed_slots.is_empty() {
         return Vec::new();
     }
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     let seed_mass = 1.0 / seed_slots.len() as f64;
     let mut is_seed = vec![false; n_slots];
     for &s in &seed_slots {
         is_seed[s] = true;
     }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let out_deg: Vec<u32> = (0..n_slots)
-        .map(|s| g.out_nbrs_of_slot(s).len() as u32)
-        .collect();
 
     let mut rank = vec![0.0f64; n_slots];
     for &s in &seed_slots {
         rank[s] = seed_mass;
     }
     let mut contrib = vec![0.0f64; n_slots];
-    let mut next = vec![0.0f64; n_slots];
     for _ in 0..config.iterations {
-        for s in 0..n_slots {
-            contrib[s] = if live[s] && out_deg[s] > 0 {
-                rank[s] / f64::from(out_deg[s])
-            } else {
-                0.0
-            };
+        for (s, c) in contrib.iter_mut().enumerate() {
+            let deg = topo.out_degree(s);
+            *c = if deg > 0 { rank[s] / deg as f64 } else { 0.0 };
         }
         let dangling: f64 = (0..n_slots)
-            .filter(|&s| live[s] && out_deg[s] == 0)
+            .filter(|&s| topo.is_live(s) && topo.out_degree(s) == 0)
             .map(|s| rank[s])
             .sum();
         {
             let contrib_ref = &contrib;
-            let live_ref = &live;
             let is_seed_ref = &is_seed;
-            parallel_for_each_chunk_mut(&mut next, config.threads, |_, start, chunk| {
+            parallel_for_each_chunk_mut(&mut rank, config.threads, |_, start, chunk| {
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    if !live_ref[s] {
-                        *out = 0.0;
+                    if !topo.is_live(s) {
                         continue;
                     }
-                    let walk: f64 = g
-                        .in_nbrs_of_slot(s)
+                    let walk: f64 = topo
+                        .in_row(s)
                         .iter()
-                        .map(|&u| contrib_ref[g.slot_of(u).expect("neighbor exists")])
+                        .map(|&u| contrib_ref[u as usize])
                         .sum();
                     let restart = if is_seed_ref[s] {
                         ((1.0 - config.damping) + config.damping * dangling) * seed_mass
@@ -130,7 +123,6 @@ pub fn personalized_pagerank<G: DirectedTopology>(
                 }
             });
         }
-        std::mem::swap(&mut rank, &mut next);
     }
     (0..n_slots)
         .filter_map(|s| g.slot_id(s).map(|id| (id, rank[s])))

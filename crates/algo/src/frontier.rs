@@ -11,12 +11,11 @@
 //! * **Flat state.** Distances and parents are dense `u32` arrays indexed
 //!   by slot (`u32::MAX` = unvisited); no hash maps, no boxed iterators,
 //!   zero allocations per visited node.
-//! * **Slot-CSR adjacency.** Engine construction re-indexes the
-//!   adjacency lists from neighbor *ids* to neighbor *slots* once
-//!   (morsel-parallel, forward and reverse senses). That is the last
-//!   id→slot hash translation the engine ever performs — every
-//!   traversal step afterwards is pure array arithmetic, where the old
-//!   kernels paid a hash lookup per edge per run.
+//! * **Slot-CSR adjacency.** The engine borrows the graph version's
+//!   [`Topology`] — neighbor *slots* per row, both senses, built once
+//!   per version and shared by every kernel — so every traversal step
+//!   is pure array arithmetic and constructing an engine costs nothing
+//!   once the version has its index. Degrees are offset differences.
 //! * **Morsel-parallel expansion.** Frontiers are split into fixed-size
 //!   morsels claimed dynamically from the worker pool, so one hub node's
 //!   giant adjacency list does not serialize a level.
@@ -45,10 +44,8 @@
 //! switch points and worker busy-time.
 
 use crate::bfs::Direction;
-use ringo_concurrent::{
-    num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset, DisjointSlice,
-};
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
+use ringo_graph::{DirectedTopology, NodeId, Topology};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Sentinel for "not reached" in [`FrontierState::dist`] and
@@ -122,26 +119,19 @@ impl FrontierState {
     }
 }
 
-/// The engine: graph + traversal direction + crossover parameters +
-/// precomputed per-slot degrees (via the bulk
-/// [`DirectedTopology::degrees`] accessor) + slot-CSR adjacency in the
-/// push and pull senses. Construction is `O(V + E)`; running from many
-/// sources amortizes it (the routed kernels — components, betweenness,
-/// reachability — all reuse one engine).
+/// The engine: graph + traversal direction + crossover parameters,
+/// reading rows and degrees from the graph version's [`Topology`] in the
+/// push sense (`dir`) and the pull sense (`dir` reversed). Construction
+/// builds that index if the version has none yet; running from many
+/// sources, or many engines over one version, reuses it.
 pub struct FrontierEngine<'g, G: DirectedTopology> {
     g: &'g G,
+    topo: &'g Topology,
     dir: Direction,
     threads: usize,
     alpha: u64,
     beta: u64,
-    deg: Vec<u32>,
     total_deg: u64,
-    live: usize,
-    push_offs: Vec<usize>,
-    push_adj: Vec<u32>,
-    /// Empty for [`Direction::Both`], where pull == push.
-    pull_offs: Vec<usize>,
-    pull_adj: Vec<u32>,
 }
 
 impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
@@ -174,55 +164,27 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
     /// `alpha = 0` forces pure top-down; a huge `alpha` *and* `beta`
     /// force bottom-up from the first parallel level.
     pub fn with_params(g: &'g G, dir: Direction, threads: usize, alpha: u64, beta: u64) -> Self {
-        let threads = threads.max(1);
-        let deg = g.degrees(dir);
-        let total_deg = deg.iter().map(|&d| u64::from(d)).sum();
-        let (push_offs, push_adj) = build_csr(g, dir, &deg, false, threads);
-        let (pull_offs, pull_adj) = match dir {
-            Direction::Both => (Vec::new(), Vec::new()),
-            Direction::Out => {
-                let rdeg = g.degrees(Direction::In);
-                build_csr(g, dir, &rdeg, true, threads)
-            }
-            Direction::In => {
-                let rdeg = g.degrees(Direction::Out);
-                build_csr(g, dir, &rdeg, true, threads)
-            }
+        let topo: &'g Topology = g.topology();
+        let edges = topo.edge_count() as u64;
+        let total_deg = if dir == Direction::Both {
+            2 * edges
+        } else {
+            edges
         };
         Self {
             g,
+            topo,
             dir,
-            threads,
+            threads: threads.max(1),
             alpha,
             beta,
-            deg,
             total_deg,
-            live: g.node_count(),
-            push_offs,
-            push_adj,
-            pull_offs,
-            pull_adj,
         }
     }
 
-    /// Neighbor *slots* reachable from `slot` along the traversal
-    /// direction — the engine's slot-CSR row. Row order matches the
-    /// graph's adjacency order. Public because level-structured
-    /// algorithms (Brandes' sweeps) scan the same rows.
     #[inline]
-    pub fn push_nbrs(&self, slot: usize) -> &[u32] {
-        &self.push_adj[self.push_offs[slot]..self.push_offs[slot + 1]]
-    }
-
-    /// Reverse rows: slots with a push-edge *into* `slot` (for
-    /// [`Direction::Both`] pull and push coincide).
-    #[inline]
-    pub fn pull_nbrs(&self, slot: usize) -> &[u32] {
-        if matches!(self.dir, Direction::Both) {
-            self.push_nbrs(slot)
-        } else {
-            &self.pull_adj[self.pull_offs[slot]..self.pull_offs[slot + 1]]
-        }
+    fn deg(&self, slot: usize) -> u64 {
+        self.topo.degree(self.dir, slot) as u64
     }
 
     /// The traversal direction this engine expands.
@@ -257,7 +219,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 
         let mut lo = run_start;
         let mut level = 0u32;
-        let mut frontier_edges = u64::from(self.deg[src_slot]);
+        let mut frontier_edges = self.deg(src_slot);
         let mut unexplored = self.total_deg - frontier_edges;
         let mut prev_bottom = false;
         let mut bits_cur: Option<ConcurrentBitset> = None;
@@ -271,7 +233,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             let bottom = par
                 && if prev_bottom {
                     // Stay bottom-up until the frontier thins out again.
-                    ((hi - lo) as u64).saturating_mul(self.beta) >= self.live as u64
+                    ((hi - lo) as u64).saturating_mul(self.beta) >= self.topo.node_count() as u64
                 } else {
                     frontier_edges.saturating_mul(self.alpha) > unexplored
                 };
@@ -331,13 +293,13 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         while i < hi {
             let u = state.visited[i];
             i += 1;
-            for &v in self.push_nbrs(u as usize) {
+            for &v in self.topo.rows(self.dir, u as usize).into_iter().flatten() {
                 let vs = v as usize;
                 if state.dist[vs] == UNVISITED {
                     state.dist[vs] = d1;
                     state.parent[vs] = u;
                     state.visited.push(v);
-                    next_edges += u64::from(self.deg[vs]);
+                    next_edges += self.deg(vs);
                 } else if state.dist[vs] == d1 && u < state.parent[vs] {
                     // Same-level rediscovery: keep the minimum-slot parent.
                     state.parent[vs] = u;
@@ -359,7 +321,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
             for &u in &frontier[range] {
-                for &v in self.push_nbrs(u as usize) {
+                for &v in self.topo.rows(self.dir, u as usize).into_iter().flatten() {
                     let vs = v as usize;
                     // ORDERING: Relaxed — the CAS claim needs only
                     // atomicity (one winner per slot); parents are a
@@ -378,7 +340,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                         Ok(_) => {
                             parent[vs].fetch_min(u, Ordering::Relaxed);
                             buf.push(v);
-                            edges += u64::from(self.deg[vs]);
+                            edges += self.deg(vs);
                         }
                         Err(cur) if cur == d1 => {
                             parent[vs].fetch_min(u, Ordering::Relaxed);
@@ -428,7 +390,12 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     continue;
                 }
                 let mut best = UNVISITED;
-                for &us in self.pull_nbrs(vs) {
+                for &us in self
+                    .topo
+                    .rows(self.dir.reversed(), vs)
+                    .into_iter()
+                    .flatten()
+                {
                     if us < best && cur.get(us as usize) {
                         best = us;
                     }
@@ -440,7 +407,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     parent[vs].store(best, Ordering::Relaxed);
                     next.set(vs);
                     buf.push(vs as u32);
-                    edges += u64::from(self.deg[vs]);
+                    edges += self.deg(vs);
                 }
             }
             (buf, edges)
@@ -495,81 +462,6 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 fn record_busy(stats: &ringo_concurrent::MorselStats) {
     let busy: u64 = stats.busy_ns.iter().sum();
     ringo_trace::counter("algo.bfs.busy_ns").add(busy);
-}
-
-/// Builds one sense of the engine's slot-CSR: `offs[s]..offs[s + 1]`
-/// indexes the neighbor-*slot* row of slot `s` in `adj`. `row_deg` must
-/// hold the row lengths for the requested sense (push: `degrees(dir)`;
-/// pull: degrees of the flipped direction), which lets the fill run as
-/// morsels over disjoint rows. This translation is the only id→slot
-/// hashing in the engine's lifetime.
-fn build_csr<G: DirectedTopology>(
-    g: &G,
-    dir: Direction,
-    row_deg: &[u32],
-    pull: bool,
-    threads: usize,
-) -> (Vec<usize>, Vec<u32>) {
-    let n = g.n_slots();
-    let mut offs = vec![0usize; n + 1];
-    for s in 0..n {
-        offs[s + 1] = offs[s] + row_deg[s] as usize;
-    }
-    let mut adj = vec![0u32; offs[n]];
-    {
-        let cell = DisjointSlice::new(&mut adj);
-        let offs = &offs;
-        parallel_for_morsels(n, threads, |_, range| {
-            for s in range {
-                if offs[s + 1] == offs[s] {
-                    continue;
-                }
-                let (a, b) = if pull {
-                    pull_slices(g, s, dir)
-                } else {
-                    push_slices(g, s, dir)
-                };
-                // SAFETY: rows `[offs[s], offs[s + 1])` are pairwise
-                // disjoint per slot, and morsels partition the slot
-                // range, so each row is written by exactly one worker.
-                let row = unsafe { cell.slice_mut(offs[s], offs[s + 1]) };
-                for (o, &id) in row.iter_mut().zip(a.iter().chain(b)) {
-                    *o = g.slot_of(id).expect("neighbor exists") as u32;
-                }
-            }
-        });
-    }
-    (offs, adj)
-}
-
-/// `(primary, secondary)` neighbor-id slices to *push along* for `dir`
-/// (the secondary slice is empty except for `Both`). Plain slices — no
-/// boxed iterator, no per-node allocation.
-#[inline]
-pub(crate) fn push_slices<G: DirectedTopology>(
-    g: &G,
-    slot: usize,
-    dir: Direction,
-) -> (&[NodeId], &[NodeId]) {
-    match dir {
-        Direction::Out => (g.out_nbrs_of_slot(slot), &[]),
-        Direction::In => (g.in_nbrs_of_slot(slot), &[]),
-        Direction::Both => (g.out_nbrs_of_slot(slot), g.in_nbrs_of_slot(slot)),
-    }
-}
-
-/// Reverse of [`push_slices`]: the slices a bottom-up *pull* scans.
-#[inline]
-pub(crate) fn pull_slices<G: DirectedTopology>(
-    g: &G,
-    slot: usize,
-    dir: Direction,
-) -> (&[NodeId], &[NodeId]) {
-    match dir {
-        Direction::Out => (g.in_nbrs_of_slot(slot), &[]),
-        Direction::In => (g.out_nbrs_of_slot(slot), &[]),
-        Direction::Both => (g.out_nbrs_of_slot(slot), g.in_nbrs_of_slot(slot)),
-    }
 }
 
 /// Views a `u32` slice as atomics for the parallel phases. The exclusive

@@ -3,7 +3,7 @@
 //! "PageRank, Hits").
 
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, NodeId, Topology};
 
 /// Hub and authority score of one node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -15,63 +15,32 @@ pub struct HitsScores {
 }
 
 /// Runs the HITS algorithm for `iterations` rounds with L2 normalization,
-/// returning `(id, scores)` pairs in slot order.
+/// returning `(id, scores)` pairs in slot order. Authorities pull hub
+/// scores over the in-rows of the graph version's
+/// [`ringo_graph::Topology`], hubs pull authority scores over its
+/// out-rows; each half-step overwrites its own vector in place.
 pub fn hits<G: DirectedTopology>(
     g: &G,
     iterations: usize,
     threads: usize,
 ) -> Vec<(NodeId, HitsScores)> {
-    let n_slots = g.n_slots();
     if g.node_count() == 0 {
         return Vec::new();
     }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let mut hub: Vec<f64> = live.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
+    let mut hub: Vec<f64> = (0..n_slots)
+        .map(|s| if topo.is_live(s) { 1.0 } else { 0.0 })
+        .collect();
     let mut auth = hub.clone();
-    let mut next = vec![0.0f64; n_slots];
 
     for _ in 0..iterations {
         // authority[v] = sum of hub[u] over in-neighbors u.
-        {
-            let hub_ref = &hub;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *out = if live_ref[s] {
-                        g.in_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&u| hub_ref[g.slot_of(u).expect("neighbor exists")])
-                            .sum()
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        normalize(&mut next);
-        std::mem::swap(&mut auth, &mut next);
-
+        pull_sums(&mut auth, &hub, topo, Topology::in_row, threads);
+        normalize(&mut auth);
         // hub[v] = sum of authority[w] over out-neighbors w.
-        {
-            let auth_ref = &auth;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *out = if live_ref[s] {
-                        g.out_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&w| auth_ref[g.slot_of(w).expect("neighbor exists")])
-                            .sum()
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        normalize(&mut next);
-        std::mem::swap(&mut hub, &mut next);
+        pull_sums(&mut hub, &auth, topo, Topology::out_row, threads);
+        normalize(&mut hub);
     }
 
     (0..n_slots)
@@ -87,6 +56,27 @@ pub fn hits<G: DirectedTopology>(
             })
         })
         .collect()
+}
+
+/// `out[s]` = sum of `from` over the slots of `row(s)` for live `s`, 0
+/// for vacant slots.
+fn pull_sums(
+    out: &mut [f64],
+    from: &[f64],
+    topo: &Topology,
+    row: fn(&Topology, usize) -> &[u32],
+    threads: usize,
+) {
+    parallel_for_each_chunk_mut(out, threads, |_, start, chunk| {
+        for (off, o) in chunk.iter_mut().enumerate() {
+            let s = start + off;
+            *o = if topo.is_live(s) {
+                row(topo, s).iter().map(|&u| from[u as usize]).sum()
+            } else {
+                0.0
+            };
+        }
+    });
 }
 
 fn normalize(v: &mut [f64]) {

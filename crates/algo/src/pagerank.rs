@@ -4,8 +4,14 @@
 //! sequential algorithm with a few OpenMP statements for parallel
 //! execution." We reproduce exactly that: classic power iteration with
 //! damping, dangling-mass redistribution, and a parallel loop over nodes
-//! where each worker writes a disjoint range of the next rank vector —
+//! where each worker writes a disjoint range of the rank vector —
 //! contention-free, no locks.
+//!
+//! Each node pulls from its in-row of the graph version's
+//! [`ringo_graph::Topology`]: neighbor slots resolved once per version, so
+//! an iteration is pure array arithmetic over two `f64` arrays (the rank,
+//! updated in place, and the per-slot contribution it pulls from).
+//! Liveness and out-degrees come from the index too.
 
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::parallel_reduce;
@@ -57,38 +63,31 @@ impl Default for PageRankConfig {
 pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(NodeId, f64)> {
     let mut sp = ringo_trace::span!("algo.pagerank");
     sp.rows_in(g.edge_count());
-    let n_slots = g.n_slots();
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     let init = 1.0 / n as f64;
-    let mut rank = vec![0.0f64; n_slots];
-    let mut live = vec![false; n_slots];
-    for s in 0..n_slots {
-        if g.slot_id(s).is_some() {
-            rank[s] = init;
-            live[s] = true;
-        }
-    }
-    // Per-slot out-degree, fixed for the run.
-    let out_deg: Vec<u32> = (0..n_slots)
-        .map(|s| g.out_nbrs_of_slot(s).len() as u32)
+    let mut rank: Vec<f64> = (0..n_slots)
+        .map(|s| if topo.is_live(s) { init } else { 0.0 })
         .collect();
-
     let mut contrib = vec![0.0f64; n_slots];
-    let mut next = vec![0.0f64; n_slots];
+    // The convergence test compares against the previous iterate, which
+    // the in-place update overwrites; only that mode keeps a copy.
+    let mut prev = config.tolerance.map(|_| vec![0.0f64; n_slots]);
     for _ in 0..config.iterations {
         // contrib[u] = rank[u] / outdeg[u]; dangling mass collected apart.
+        // Vacant slots have rank 0 and no out-edges, so they add nothing.
         {
             let rank_ref = &rank;
-            let out_ref = &out_deg;
-            let live_ref = &live;
             parallel_for_each_chunk_mut(&mut contrib, config.threads, |_, start, chunk| {
                 for (off, c) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    *c = if live_ref[s] && out_ref[s] > 0 {
-                        rank_ref[s] / f64::from(out_ref[s])
+                    let deg = topo.out_degree(s);
+                    *c = if deg > 0 {
+                        rank_ref[s] / deg as f64
                     } else {
                         0.0
                     };
@@ -102,7 +101,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             |range| {
                 let mut s = 0.0;
                 for i in range {
-                    if live[i] && out_deg[i] == 0 {
+                    if topo.is_live(i) && topo.out_degree(i) == 0 {
                         s += rank[i];
                     }
                 }
@@ -112,39 +111,37 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
         );
 
         let base = (1.0 - config.damping) / n as f64 + config.damping * dangling / n as f64;
+        if let Some(prev) = prev.as_mut() {
+            prev.copy_from_slice(&rank);
+        }
         {
             let contrib_ref = &contrib;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, config.threads, |_, start, chunk| {
+            parallel_for_each_chunk_mut(&mut rank, config.threads, |_, start, chunk| {
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    if !live_ref[s] {
-                        *out = 0.0;
+                    if !topo.is_live(s) {
                         continue;
                     }
                     let mut acc = 0.0;
-                    for &u in g.in_nbrs_of_slot(s) {
-                        // Neighbor ids resolve to slots through the node
-                        // hash table — the per-edge lookup SNAP performs.
-                        let us = g.slot_of(u).expect("neighbor id must exist");
-                        acc += contrib_ref[us];
+                    for &u in topo.in_row(s) {
+                        acc += contrib_ref[u as usize];
                     }
                     *out = base + config.damping * acc;
                 }
             });
         }
 
-        if let Some(tol) = config.tolerance {
-            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut rank, &mut next);
+        if let (Some(tol), Some(prev)) = (config.tolerance, prev.as_ref()) {
+            let delta: f64 = prev.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
             if delta < tol {
                 break;
             }
-        } else {
-            std::mem::swap(&mut rank, &mut next);
         }
     }
 
+    // Free the working arrays before the result is allocated, so the
+    // call's peak holds the rank and the result, never all three.
+    drop((contrib, prev));
     let out: Vec<(NodeId, f64)> = (0..n_slots)
         .filter_map(|s| g.slot_id(s).map(|id| (id, rank[s])))
         .collect();

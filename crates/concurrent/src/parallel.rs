@@ -573,23 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_parallel_for_never_spawns_per_call() {
-        // Warm the pool up, then check that 200 further dispatches change
-        // only the job counters — never the worker count.
-        parallel_for(64, 4, |_, _| {});
-        let before = crate::pool::pool_stats();
-        for _ in 0..200 {
-            parallel_for(64, 4, |_, range| {
-                std::hint::black_box(range.sum::<usize>());
-            });
-        }
-        let after = crate::pool::pool_stats();
-        assert_eq!(after.workers, before.workers, "pool size is constant");
-        assert_eq!(after.jobs_dispatched - before.jobs_dispatched, 200);
-        assert!(after.chunks_executed - before.chunks_executed >= 200);
-    }
-
-    #[test]
     fn parallel_map_propagates_panics() {
         let caught = std::panic::catch_unwind(|| {
             parallel_map(1000, 4, |range| {

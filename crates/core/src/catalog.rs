@@ -26,14 +26,20 @@
 //!   mutated graph's adjacency into a fresh exact slab
 //!   (`DirectedGraph::compact`) produces a new immutable version, which
 //!   is published like any other — pinned readers keep traversing the
-//!   old slabs untouched.
+//!   old slabs untouched;
+//! * a graph version is published together with its slot index
+//!   ([`ringo_graph::Topology`]): [`Catalog::publish`] builds it before
+//!   taking the writer lock, so every reader's kernels share one index per
+//!   version, and a compacted version — same slots, same adjacency order —
+//!   shares its parent's index instead of rebuilding it. The index lives
+//!   and is reclaimed with its version.
 //!
 //! Reclamation policy is governed by `RINGO_CATALOG_GC`: `auto` (the
 //! default) runs a collection after every publish, `manual` defers
 //! entirely to explicit [`Catalog::gc`] calls.
 
 use ringo_concurrent::epoch::{EpochDomain, OwnedEpochGuard, Versioned};
-use ringo_graph::{CompactStats, DirectedGraph};
+use ringo_graph::{CompactStats, DirectedGraph, DirectedTopology};
 use ringo_table::Table;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -231,8 +237,12 @@ impl Catalog {
 
     /// Publishes `data` under `name`: copy-on-write insert into a fresh
     /// root map, then a single `Release` pointer swing. Never blocks
-    /// readers.
+    /// readers. A graph's slot index is built first, outside the writer
+    /// lock, so the version is frozen with it.
     pub fn publish(&self, name: &str, data: Dataset) -> u64 {
+        if let Dataset::Graph(g) = &data {
+            g.topology();
+        }
         let mut writer = lock(&self.inner.writer);
         let version = self.publish_locked(&mut writer, name, data);
         drop(writer);
@@ -371,6 +381,9 @@ impl Catalog {
         // Clone-then-compact: surviving slab views clone as cheap `Arc`
         // bumps, and the rewrite binds the clone to a brand-new slab, so
         // the published version shares no mutable state with the old one.
+        // Compaction keeps slots and adjacency order, so the clone keeps
+        // sharing the old version's slot index (`publish_locked` does not
+        // build one).
         let mut rewritten = DirectedGraph::clone(&current);
         let stats = rewritten.compact();
         sp.rows_in(stats.before.footprint_bytes());
@@ -664,6 +677,36 @@ mod tests {
             40,
             "the newest topology wins"
         );
+    }
+
+    #[test]
+    fn topology_built_once_per_publish_and_shared_by_compaction() {
+        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let mut g = DirectedGraph::new();
+        for i in 0..20i64 {
+            g.add_edge(i, (i * 7) % 20);
+        }
+        let builds = ringo_graph::Topology::builds_on_this_thread;
+        let start = builds();
+        cat.publish_graph("g", g.clone());
+        assert_eq!(builds() - start, 1, "publish builds the index");
+        let graph_of = |cat: &Catalog| cat.get("g").and_then(|d| d.as_graph().cloned());
+        let v1 = graph_of(&cat).expect("bound");
+        let pr = ringo_algo::pagerank(v1.as_ref(), &ringo_algo::PageRankConfig::default());
+        assert_eq!(pr.len(), 20);
+        assert_eq!(builds() - start, 1, "kernels reuse the published index");
+
+        cat.compact_graph("g").expect("graph bound");
+        let v2 = graph_of(&cat).expect("bound");
+        assert_eq!(builds() - start, 1, "compaction builds nothing");
+        assert!(Arc::ptr_eq(v1.topology(), v2.topology()), "shared index");
+
+        g.add_edge(100, 0);
+        cat.publish_graph("g", g);
+        let v3 = graph_of(&cat).expect("bound");
+        assert_eq!(builds() - start, 2, "one build per publish");
+        assert_eq!(v3.topology().edge_count(), 21);
+        assert!(!Arc::ptr_eq(v2.topology(), v3.topology()));
     }
 
     #[test]

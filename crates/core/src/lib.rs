@@ -142,7 +142,8 @@ impl Ringo {
         )
     }
 
-    /// Publishes `graph` as the new current version of `name`.
+    /// Publishes `graph` as the new current version of `name`, with its
+    /// slot index built (see [`Catalog::publish`]).
     pub fn publish_graph(&self, name: &str, graph: DirectedGraph) -> u64 {
         let edges = graph.edge_count();
         self.ops.run(

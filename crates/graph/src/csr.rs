@@ -5,11 +5,14 @@
 //! edge requires time linear in the total number of edges in the graph)".
 //! This module implements exactly that representation so the ablation
 //! benchmarks can measure both sides of the trade-off: CSR's contiguous
-//! traversal vs its `O(E)` single-edge deletion.
+//! adjacency (a cheaper per-version slot index build; kernels then run on
+//! the same [`Topology`] either way) vs its `O(E)` single-edge deletion.
 
+use crate::topology::Topology;
 use crate::traits::DirectedTopology;
 use crate::NodeId;
 use ringo_concurrent::{num_threads, radix_sort_by_u64_key, IntHashTable};
+use std::sync::{Arc, OnceLock};
 
 /// An immutable-topology directed graph in Compressed Sparse Row form,
 /// with both out- and in-adjacency stored contiguously.
@@ -26,6 +29,7 @@ pub struct CsrGraph {
     out_nbrs: Vec<NodeId>,
     in_off: Vec<usize>,
     in_nbrs: Vec<NodeId>,
+    topo: OnceLock<Arc<Topology>>,
 }
 
 impl CsrGraph {
@@ -103,6 +107,7 @@ impl CsrGraph {
             out_nbrs,
             in_off,
             in_nbrs,
+            topo: OnceLock::new(),
         }
     }
 
@@ -151,6 +156,7 @@ impl CsrGraph {
     /// Deletes the edge `src -> dst` by shifting the tails of both big edge
     /// vectors: **O(E)** on purpose. Returns `false` if the edge is absent.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
+        self.topo.take();
         let (s, d) = match (self.index.get(src), self.index.get(dst)) {
             (Some(&s), Some(&d)) => (s as usize, d as usize),
             _ => return false,
@@ -180,9 +186,11 @@ impl CsrGraph {
         self.ids.iter().copied()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes (the slot index included once
+    /// built).
     pub fn mem_size(&self) -> usize {
-        self.index.mem_size()
+        self.topo.get().map_or(0, |t| t.mem_size())
+            + self.index.mem_size()
             + self.ids.capacity() * 8
             + (self.out_off.capacity() + self.in_off.capacity()) * 8
             + (self.out_nbrs.capacity() + self.in_nbrs.capacity()) * 8
@@ -216,6 +224,10 @@ impl DirectedTopology for CsrGraph {
 
     fn edge_count(&self) -> usize {
         self.out_nbrs.len()
+    }
+
+    fn topology(&self) -> &Arc<Topology> {
+        self.topo.get_or_init(|| Arc::new(Topology::build(self)))
     }
 }
 

@@ -2,10 +2,11 @@
 //! in/out adjacency vectors per node.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::topology::Topology;
 use crate::traits::DirectedTopology;
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-node storage: the external id plus sorted neighbor lists
 /// (copy-on-write [`NbrList`]s, so bulk-loaded nodes can share one
@@ -27,6 +28,9 @@ pub(crate) struct NodeCell {
 /// * `add_edge` / `del_edge` are `O(deg)` (vector insert/remove at a binary-
 ///   searched position) — the paper's headline contrast with CSR's `O(E)`,
 /// * neighbor iteration is a contiguous scan.
+///
+/// The slot index kernels traverse ([`DirectedTopology::topology`]) is
+/// built on first use and dropped by every mutation.
 ///
 /// ```
 /// use ringo_graph::DirectedGraph;
@@ -50,6 +54,7 @@ pub struct DirectedGraph {
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
+    topo: OnceLock<Arc<Topology>>,
 }
 
 impl DirectedGraph {
@@ -63,9 +68,7 @@ impl DirectedGraph {
         Self {
             index: IntHashTable::with_capacity(nodes),
             nodes: Vec::with_capacity(nodes),
-            free: Vec::new(),
-            n_nodes: 0,
-            n_edges: 0,
+            ..Self::default()
         }
     }
 
@@ -99,6 +102,7 @@ impl DirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
+        self.topo.take();
         if self.index.contains(id) {
             return false;
         }
@@ -126,6 +130,7 @@ impl DirectedGraph {
     /// Adds the edge `src -> dst`, creating missing endpoints. Returns
     /// `false` if the edge already existed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
+        self.topo.take();
         self.add_node(src);
         self.add_node(dst);
         {
@@ -150,6 +155,7 @@ impl DirectedGraph {
     /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
     /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
+        self.topo.take();
         let removed = match self.cell_mut(src) {
             Some(sc) => match sc.out_nbrs.binary_search(&dst) {
                 Ok(pos) => {
@@ -175,6 +181,7 @@ impl DirectedGraph {
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
+        self.topo.take();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -242,10 +249,12 @@ impl DirectedGraph {
     }
 
     /// Approximate heap footprint in bytes: hash index + slot vector +
-    /// adjacency vector capacities. This is what the paper's Table 2
-    /// reports as "In-memory Graph Size".
+    /// adjacency vector capacities — what the paper's Table 2 reports as
+    /// "In-memory Graph Size" — plus the slot index once a kernel or a
+    /// catalog publish has built it.
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
+        bytes += self.topo.get().map_or(0, |t| t.mem_size());
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<NodeCell>>();
         bytes += self.free.capacity() * std::mem::size_of::<u32>();
         for c in self.nodes.iter().flatten() {
@@ -360,8 +369,9 @@ impl DirectedGraph {
     /// Rewrites every adjacency list into two fresh, exactly-sized
     /// shared slabs (one per direction), releasing dead slab ranges left
     /// behind by mutations and collapsing per-node owned vectors back
-    /// into bulk storage. Topology is unchanged; the graph stays fully
-    /// dynamic afterwards.
+    /// into bulk storage. Topology is unchanged — slots and adjacency
+    /// order included, so the cached slot index stays valid — and the
+    /// graph stays fully dynamic afterwards.
     ///
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
@@ -472,6 +482,10 @@ impl DirectedTopology for DirectedGraph {
 
     fn edge_count(&self) -> usize {
         self.n_edges
+    }
+
+    fn topology(&self) -> &Arc<Topology> {
+        self.topo.get_or_init(|| Arc::new(Topology::build(self)))
     }
 }
 

@@ -77,48 +77,81 @@ pub fn save_binary(g: &DirectedGraph, path: &Path) -> io::Result<()> {
 
 /// Loads a graph written by [`save_binary`] (isolated nodes round-trip
 /// through this format, unlike the text edge list).
+///
+/// The file is untrusted: allocations are capped by the bytes left in the
+/// file rather than sized from header counts, and a node id listed twice,
+/// an out-list that is not strictly ascending, or a neighbor that is not a
+/// listed node is rejected with [`io::ErrorKind::InvalidData`].
 pub fn load_binary(path: &Path) -> io::Result<DirectedGraph> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
+    let file = std::fs::File::open(path)?;
+    let mut left = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a Ringo binary graph file",
-        ));
+        return Err(invalid("not a Ringo binary graph file".to_string()));
     }
-    let n_nodes = read_u64(&mut r)? as usize;
-    let mut ids = Vec::with_capacity(n_nodes);
-    let mut outs: Vec<Vec<NodeId>> = Vec::with_capacity(n_nodes);
+    let n_nodes = read_u64(&mut r)?;
+    left = left.saturating_sub(16);
+    // A node record is at least 12 bytes (id + degree), a neighbor 8.
+    let mut ids = Vec::with_capacity(capped(n_nodes, left / 12));
+    let mut outs: Vec<Vec<NodeId>> = Vec::with_capacity(ids.capacity());
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for _ in 0..n_nodes {
         let id = read_i64(&mut r)?;
-        let deg = read_u32(&mut r)? as usize;
-        let mut out = Vec::with_capacity(deg);
+        let deg = u64::from(read_u32(&mut r)?);
+        left = left.saturating_sub(12);
+        let mut out = Vec::with_capacity(capped(deg, left / 8));
         for _ in 0..deg {
             let n = read_i64(&mut r)?;
+            if out.last().is_some_and(|&prev| prev >= n) {
+                return Err(invalid(format!(
+                    "out-list of node {id} is not strictly ascending at {n}"
+                )));
+            }
             out.push(n);
             edges.push((id, n));
         }
+        left = left.saturating_sub(8 * deg);
         ids.push(id);
         outs.push(out);
     }
+    let mut known = ids.clone();
+    known.sort_unstable();
+    if let Some(w) = known.windows(2).find(|w| w[0] == w[1]) {
+        return Err(invalid(format!("node {} is listed twice", w[0])));
+    }
+    if let Some(&(s, d)) = edges.iter().find(|e| known.binary_search(&e.1).is_err()) {
+        return Err(invalid(format!(
+            "edge {s} -> {d} names a node the file does not list"
+        )));
+    }
+    drop(known);
     // Rebuild in-adjacency from the edge list.
     let mut rev: Vec<(NodeId, NodeId)> = edges.iter().map(|&(s, d)| (d, s)).collect();
     rev.sort_unstable();
-    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::with_capacity(n_nodes);
+    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::with_capacity(ids.len());
     // Map id -> in-list via a single sorted sweep.
     let mut in_lists: std::collections::HashMap<NodeId, Vec<NodeId>> =
-        std::collections::HashMap::with_capacity(n_nodes);
+        std::collections::HashMap::with_capacity(ids.len());
     for &(d, s) in &rev {
         in_lists.entry(d).or_default().push(s);
     }
     for (id, out) in ids.into_iter().zip(outs) {
-        let mut in_nbrs = in_lists.remove(&id).unwrap_or_default();
-        in_nbrs.dedup();
+        let in_nbrs = in_lists.remove(&id).unwrap_or_default();
         parts.push((id, in_nbrs, out));
     }
     Ok(DirectedGraph::from_parts(parts))
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// `claimed` as a capacity, but never more than `bound` (what the rest of
+/// the file could hold).
+fn capped(claimed: u64, bound: u64) -> usize {
+    usize::try_from(claimed.min(bound)).unwrap_or(0)
 }
 
 /// Builds a graph from raw edges (sequential sort-first; the parallel
@@ -250,6 +283,63 @@ mod tests {
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 3]).unwrap();
         assert!(load_binary(&p).is_err());
+        std::fs::remove_file(p).ok();
+    }
+
+    /// A binary file from raw parts: magic, node count, then
+    /// `(id, out-list)` records.
+    fn write_raw(p: &Path, n_nodes: u64, nodes: &[(i64, &[i64])]) {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&n_nodes.to_le_bytes());
+        for (id, out) in nodes {
+            b.extend_from_slice(&id.to_le_bytes());
+            b.extend_from_slice(&(out.len() as u32).to_le_bytes());
+            for n in *out {
+                b.extend_from_slice(&n.to_le_bytes());
+            }
+        }
+        std::fs::write(p, b).unwrap();
+    }
+
+    fn invalid_data(p: &Path) -> bool {
+        load_binary(p).is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+    }
+
+    #[test]
+    fn binary_load_huge_node_count_is_an_error_not_an_abort() {
+        let p = tmp("huge.rg");
+        write_raw(&p, 1 << 40, &[]);
+        assert!(load_binary(&p).is_err());
+        // A huge degree on a real node record is capped the same way.
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&1u64.to_le_bytes());
+        b.extend_from_slice(&7i64.to_le_bytes());
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&p, b).unwrap();
+        assert!(load_binary(&p).is_err());
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn binary_load_rejects_dangling_neighbor() {
+        let p = tmp("dangling.rg");
+        write_raw(&p, 2, &[(1, &[2, 3]), (2, &[])]);
+        assert!(invalid_data(&p), "3 is not a listed node");
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn binary_load_rejects_unsorted_or_duplicate_lists() {
+        let p = tmp("unsorted.rg");
+        write_raw(&p, 3, &[(1, &[3, 2]), (2, &[]), (3, &[])]);
+        assert!(invalid_data(&p), "descending out-list");
+        write_raw(&p, 2, &[(1, &[2, 2]), (2, &[])]);
+        assert!(invalid_data(&p), "duplicate neighbor");
+        write_raw(&p, 2, &[(1, &[]), (1, &[])]);
+        assert!(invalid_data(&p), "node listed twice");
+        write_raw(&p, 2, &[(1, &[1, 2]), (2, &[1])]);
+        let g = load_binary(&p).expect("a valid file still loads");
+        assert_eq!(g.in_nbrs(1), &[1, 2]);
         std::fs::remove_file(p).ok();
     }
 

@@ -13,8 +13,11 @@
 //! * [`UndirectedGraph`] — same idea with a single neighbor vector per node.
 //! * [`CsrGraph`] — a static CSR baseline used by the ablation benchmarks
 //!   to quantify exactly the trade-off the paper describes.
-//! * [`DirectedTopology`] — slot-addressed read access implemented by both
-//!   directed representations so algorithms can run on either.
+//! * [`DirectedTopology`] — slot-addressed read access implemented by every
+//!   representation so algorithms can run on any of them.
+//! * [`Topology`] — the per-version slot index every representation builds
+//!   once and caches: adjacency rows of neighbor slots, so kernels never
+//!   hash a neighbor id per edge.
 
 #![warn(missing_docs)]
 
@@ -22,6 +25,7 @@ pub mod csr;
 pub mod directed;
 pub mod io;
 mod nbrs;
+pub mod topology;
 pub mod traits;
 pub mod transform;
 pub mod undirected;
@@ -30,6 +34,7 @@ pub mod weighted;
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
 pub use nbrs::{AdjacencyStats, CompactStats};
+pub use topology::Topology;
 pub use traits::{DirectedTopology, Direction};
 pub use undirected::UndirectedGraph;
 pub use weighted::WeightedDigraph;

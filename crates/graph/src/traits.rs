@@ -1,12 +1,14 @@
 //! Slot-addressed read access shared by the directed representations.
 
+use crate::topology::Topology;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// Which edges a directed traversal follows.
 ///
 /// Lives in the graph layer (rather than with any one algorithm) because
-/// both the traversal kernels in `ringo-algo` and the bulk
-/// [`DirectedTopology::degrees`] accessor are parameterized by it.
+/// both the traversal kernels in `ringo-algo` and
+/// [`crate::Topology::rows`] are parameterized by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Follow out-edges (successors).
@@ -17,17 +19,27 @@ pub enum Direction {
     Both,
 }
 
+impl Direction {
+    /// The opposite sense: the rows a bottom-up pass scans to find who
+    /// would have pushed to a node (`Both` is its own reverse).
+    pub fn reversed(self) -> Self {
+        match self {
+            Direction::Out => Direction::In,
+            Direction::In => Direction::Out,
+            Direction::Both => Direction::Both,
+        }
+    }
+}
+
 /// Read-only, slot-addressed view of a directed graph.
 ///
 /// Slots are dense handles in `0..n_slots()`; a slot may be vacant (after a
 /// node deletion in [`crate::DirectedGraph`]) in which case
-/// [`DirectedTopology::slot_id`] returns `None`. Algorithms allocate their
-/// per-node state as flat arrays indexed by slot and translate neighbor
-/// *ids* back to slots with [`DirectedTopology::slot_of`] — the same
-/// id-to-position hash lookup SNAP performs per edge traversal. Running the
-/// identical algorithm over [`crate::DirectedGraph`] and [`crate::CsrGraph`]
-/// therefore isolates the cost of the representation itself, which is the
-/// ablation the paper's §2.2 design discussion calls for.
+/// [`DirectedTopology::slot_id`] returns `None`. The adjacency accessors
+/// return neighbor *ids*, as the §2.2 representation stores them. Kernels
+/// that walk edges read [`DirectedTopology::topology`] instead: the same
+/// rows already resolved to neighbor *slots*, built once per graph
+/// version, so no kernel pays an id-to-slot hash lookup per edge.
 pub trait DirectedTopology: Sync {
     /// Upper bound (exclusive) on slot handles.
     fn n_slots(&self) -> usize;
@@ -43,25 +55,7 @@ pub trait DirectedTopology: Sync {
     fn node_count(&self) -> usize;
     /// Number of directed edges.
     fn edge_count(&self) -> usize;
-
-    /// Per-slot degree in the traversal sense of `dir` (vacant slots get
-    /// 0). Bulk accessor for frontier-style engines: the
-    /// direction-optimizing crossover heuristic needs the edge mass of a
-    /// frontier, and summing precomputed degrees is much cheaper than
-    /// re-touching adjacency lists every level.
-    fn degrees(&self, dir: Direction) -> Vec<u32> {
-        let mut deg = vec![0u32; self.n_slots()];
-        for (s, d) in deg.iter_mut().enumerate() {
-            if self.slot_id(s).is_some() {
-                *d = match dir {
-                    Direction::Out => self.out_nbrs_of_slot(s).len(),
-                    Direction::In => self.in_nbrs_of_slot(s).len(),
-                    Direction::Both => {
-                        self.out_nbrs_of_slot(s).len() + self.in_nbrs_of_slot(s).len()
-                    }
-                } as u32;
-            }
-        }
-        deg
-    }
+    /// The slot index of this graph version, built on the first call and
+    /// cached until the next mutation (see [`crate::topology`]).
+    fn topology(&self) -> &Arc<Topology>;
 }

@@ -2,9 +2,10 @@
 //! vector per node.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::topology::Topology;
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 #[derive(Clone, Debug, Default)]
 struct UNodeCell {
@@ -25,6 +26,7 @@ pub struct UndirectedGraph {
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
+    topo: OnceLock<Arc<Topology>>,
 }
 
 impl UndirectedGraph {
@@ -72,6 +74,7 @@ impl UndirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
+        self.topo.take();
         if self.index.contains(id) {
             return false;
         }
@@ -99,6 +102,7 @@ impl UndirectedGraph {
     /// Adds the undirected edge `{a, b}`, creating missing endpoints.
     /// Returns `false` if the edge already existed.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.topo.take();
         self.add_node(a);
         self.add_node(b);
         {
@@ -122,6 +126,7 @@ impl UndirectedGraph {
 
     /// Deletes the undirected edge `{a, b}`. Returns `false` if absent.
     pub fn del_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.topo.take();
         let removed = match self.cell_mut(a) {
             Some(ca) => match ca.nbrs.binary_search(&b) {
                 Ok(pos) => {
@@ -146,6 +151,7 @@ impl UndirectedGraph {
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
+        self.topo.take();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -217,6 +223,7 @@ impl UndirectedGraph {
     /// [`crate::DirectedGraph::mem_size`]).
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
+        bytes += self.topo.get().map_or(0, |t| t.mem_size());
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<UNodeCell>>();
         bytes += self.free.capacity() * std::mem::size_of::<u32>();
         for c in self.nodes.iter().flatten() {
@@ -368,6 +375,11 @@ impl crate::DirectedTopology for UndirectedGraph {
             .filter(|c| c.nbrs.binary_search(&c.id).is_ok())
             .count();
         2 * self.n_edges - self_loops
+    }
+
+    fn topology(&self) -> &Arc<Topology> {
+        self.topo
+            .get_or_init(|| Arc::new(Topology::build_symmetric(self)))
     }
 }
 

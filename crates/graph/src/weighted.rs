@@ -7,9 +7,11 @@
 //! vector, so the unweighted traversal machinery carries over and weight
 //! lookup is the same binary search as `has_edge`.
 
+use crate::topology::Topology;
 use crate::traits::DirectedTopology;
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
+use std::sync::{Arc, OnceLock};
 
 #[derive(Clone, Debug, Default)]
 struct WNodeCell {
@@ -31,6 +33,7 @@ pub struct WeightedDigraph {
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
+    topo: OnceLock<Arc<Topology>>,
 }
 
 impl WeightedDigraph {
@@ -72,6 +75,7 @@ impl WeightedDigraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
+        self.topo.take();
         if self.index.contains(id) {
             return false;
         }
@@ -99,6 +103,7 @@ impl WeightedDigraph {
     /// Adds weight `w` on the edge `src -> dst`, creating nodes and the
     /// edge as needed. Returns the new accumulated weight.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, w: f64) -> f64 {
+        self.topo.take();
         self.add_node(src);
         self.add_node(dst);
         let mut fresh = false;
@@ -131,6 +136,7 @@ impl WeightedDigraph {
 
     /// Removes the edge `src -> dst` entirely; returns its weight.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
+        self.topo.take();
         let w = {
             let sc = self.cell_mut(src)?;
             let pos = sc.out_nbrs.binary_search(&dst).ok()?;
@@ -188,6 +194,7 @@ impl WeightedDigraph {
     /// Approximate heap footprint in bytes.
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
+        bytes += self.topo.get().map_or(0, |t| t.mem_size());
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<WNodeCell>>();
         for c in self.nodes.iter().flatten() {
             bytes +=
@@ -236,6 +243,10 @@ impl DirectedTopology for WeightedDigraph {
 
     fn edge_count(&self) -> usize {
         self.n_edges
+    }
+
+    fn topology(&self) -> &Arc<Topology> {
+        self.topo.get_or_init(|| Arc::new(Topology::build(self)))
     }
 }
 

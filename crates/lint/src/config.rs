@@ -121,18 +121,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/eigen.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/frontier.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/hits.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/independent.rs",
         "invariant expects in kernel loops",
     ),
@@ -142,10 +130,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/algo/src/ktruss.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/pagerank.rs",
         "invariant expects in kernel loops",
     ),
     (
