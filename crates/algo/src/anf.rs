@@ -43,7 +43,8 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
     k: usize,
     seed: u64,
 ) -> Vec<f64> {
-    let n_slots = g.n_slots();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     let k = k.max(1);
     let mut cur = Sketches {
         bits: vec![0u64; n_slots * k],
@@ -60,7 +61,7 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
     };
     let mut live_count = 0usize;
     for slot in 0..n_slots {
-        if g.slot_id(slot).is_none() {
+        if !topo.is_live(slot) {
             continue;
         }
         live_count += 1;
@@ -94,11 +95,8 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
                     // window `[base, base + k)` is written by one worker.
                     let win = unsafe { out.slice_mut(base, base + k) };
                     win.copy_from_slice(&cur_bits[base..base + k]);
-                    if g.slot_id(slot).is_none() {
-                        continue;
-                    }
-                    for &nbr in g.out_nbrs_of_slot(slot) {
-                        let ns = g.slot_of(nbr).expect("neighbor exists") * k;
+                    for &nbr in topo.out_row(slot) {
+                        let ns = nbr as usize * k;
                         for (w, &c) in win.iter_mut().zip(&cur_bits[ns..ns + k]) {
                             *w |= c;
                         }
@@ -110,7 +108,7 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
         std::mem::swap(&mut cur.bits, &mut next);
         // Sum of per-node neighborhood sizes, minus the nodes themselves.
         let total: f64 = (0..n_slots)
-            .filter(|&s| g.slot_id(s).is_some())
+            .filter(|&s| topo.is_live(s))
             .map(|s| cur.estimate(s))
             .sum();
         curve.push((total - live_count as f64).max(0.0));

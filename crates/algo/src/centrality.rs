@@ -12,18 +12,11 @@ use ringo_graph::{DirectedTopology, NodeId};
 /// Degree centrality: `deg(v) / (n - 1)`, using out-, in-, or total degree
 /// per `dir`. Returns `(id, score)` in slot order.
 pub fn degree_centrality<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(NodeId, f64)> {
+    let topo = g.topology();
     let n = g.node_count();
     let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
-    (0..g.n_slots())
-        .filter_map(|s| {
-            let id = g.slot_id(s)?;
-            let d = match dir {
-                Direction::Out => g.out_nbrs_of_slot(s).len(),
-                Direction::In => g.in_nbrs_of_slot(s).len(),
-                Direction::Both => g.out_nbrs_of_slot(s).len() + g.in_nbrs_of_slot(s).len(),
-            };
-            Some((id, d as f64 / denom))
-        })
+    (0..topo.n_slots())
+        .filter_map(|s| Some((g.slot_id(s)?, topo.degree(dir, s) as f64 / denom)))
         .collect()
 }
 
@@ -67,50 +60,59 @@ pub fn harmonic_centrality<G: DirectedTopology>(g: &G, id: NodeId, dir: Directio
 /// Runs in `O(V * E)`; for large graphs prefer
 /// [`betweenness_centrality_sampled`].
 pub fn betweenness_centrality<G: DirectedTopology>(g: &G, normalized: bool) -> Vec<(NodeId, f64)> {
-    let sources: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
-    brandes(g, &sources, normalized, sources.len(), 1)
+    let sources = live_slots(g);
+    let scores = brandes(g, &sources, 1.0, 1);
+    by_id(g, scores, normalized, sources.len())
 }
 
 /// Exact betweenness computed in parallel: Brandes is embarrassingly
 /// parallel over source nodes, so workers process disjoint source ranges
-/// with private accumulators which are summed at the end. Produces
-/// exactly the same values as [`betweenness_centrality`] for any thread
-/// count (per-slot partial sums are combined in chunk order).
+/// with private per-slot accumulators which are summed at the end, in
+/// chunk order. The chunks depend on `threads`, and floating-point
+/// addition is not associative, so scores may differ from
+/// [`betweenness_centrality`] (and across thread counts) in the last bits.
 pub fn betweenness_centrality_parallel<G: DirectedTopology>(
     g: &G,
     normalized: bool,
     threads: usize,
 ) -> Vec<(NodeId, f64)> {
-    let sources: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
-    let n_live = sources.len();
-    let partials: Vec<Vec<(NodeId, f64)>> =
-        ringo_concurrent::parallel_map(sources.len(), threads, |range| {
-            // Pass the chunk length as the population so brandes applies
-            // no sample-extrapolation scaling (scale = len/len = 1). The
-            // inner BFS runs single-threaded: parallelism lives in the
-            // source partition here.
-            let chunk = &sources[range];
-            brandes(g, chunk, false, chunk.len(), 1)
-        });
-    let n_slots = g.n_slots();
-    let mut acc = vec![0.0f64; n_slots];
+    let sources = live_slots(g);
+    let partials: Vec<Vec<f64>> = ringo_concurrent::parallel_map(sources.len(), threads, |range| {
+        // The inner BFS runs single-threaded: parallelism lives in the
+        // source partition here.
+        brandes(g, &sources[range], 1.0, 1)
+    });
+    let mut acc = vec![0.0f64; g.n_slots()];
     for part in &partials {
-        for (id, v) in part {
-            let slot = g.slot_of(*id).expect("id from live slot");
-            acc[slot] += v;
+        for (a, v) in acc.iter_mut().zip(part) {
+            *a += v;
         }
     }
+    by_id(g, acc, normalized, sources.len())
+}
+
+/// Slots holding a node, ascending: every node as a Brandes source.
+fn live_slots<G: DirectedTopology>(g: &G) -> Vec<usize> {
+    (0..g.n_slots())
+        .filter(|&s| g.slot_id(s).is_some())
+        .collect()
+}
+
+/// `(id, score)` per live slot in slot order, divided by `(n-1)(n-2)` when
+/// `normalized` (directed normalization over `n_live` nodes).
+fn by_id<G: DirectedTopology>(
+    g: &G,
+    scores: Vec<f64>,
+    normalized: bool,
+    n_live: usize,
+) -> Vec<(NodeId, f64)> {
     let norm = if normalized && n_live > 2 {
         1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
     } else {
         1.0
     };
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, acc[s] * norm)))
+    (0..scores.len())
+        .filter_map(|s| g.slot_id(s).map(|id| (id, scores[s] * norm)))
         .collect()
 }
 
@@ -122,9 +124,7 @@ pub fn betweenness_centrality_sampled<G: DirectedTopology>(
     samples: usize,
     normalized: bool,
 ) -> Vec<(NodeId, f64)> {
-    let live: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
+    let live = live_slots(g);
     if live.is_empty() || samples == 0 {
         return Vec::new();
     }
@@ -132,7 +132,9 @@ pub fn betweenness_centrality_sampled<G: DirectedTopology>(
     let sources: Vec<usize> = live.iter().copied().step_by(stride).collect();
     // Few sources, whole graph each: parallelize *inside* the per-source
     // BFS via the frontier engine rather than across sources.
-    brandes(g, &sources, normalized, live.len(), num_threads())
+    let scale = live.len() as f64 / sources.len() as f64;
+    let scores = brandes(g, &sources, scale, num_threads());
+    by_id(g, scores, normalized, live.len())
 }
 
 /// Brandes' accumulation driven by the shared frontier engine: the
@@ -141,21 +143,12 @@ pub fn betweenness_centrality_sampled<G: DirectedTopology>(
 /// sigma/delta sweeps walk the engine's level buckets
 /// (`FrontierState::level_starts`) with *pull* scans — path counts from
 /// in-neighbors one level up, dependencies from out-neighbors one level
-/// down — so no predecessor lists are materialized.
-fn brandes<G: DirectedTopology>(
-    g: &G,
-    sources: &[usize],
-    normalized: bool,
-    n_live: usize,
-    threads: usize,
-) -> Vec<(NodeId, f64)> {
+/// down — so no predecessor lists are materialized. Returns the
+/// dependency sums per slot, each source's multiplied by `scale` (the
+/// sample-extrapolation factor; 1 for exact scores).
+fn brandes<G: DirectedTopology>(g: &G, sources: &[usize], scale: f64, threads: usize) -> Vec<f64> {
     let n_slots = g.n_slots();
     let mut centrality = vec![0.0f64; n_slots];
-    let scale = if sources.is_empty() {
-        1.0
-    } else {
-        n_live as f64 / sources.len() as f64
-    };
 
     let eng = FrontierEngine::with_threads(g, Direction::Out, threads);
     let topo = g.topology();
@@ -210,15 +203,7 @@ fn brandes<G: DirectedTopology>(
         }
         state.reset();
     }
-
-    let norm = if normalized && n_live > 2 {
-        1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
-    } else {
-        1.0
-    };
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, centrality[s] * norm)))
-        .collect()
+    centrality
 }
 
 #[cfg(test)]

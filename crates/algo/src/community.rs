@@ -2,7 +2,7 @@
 
 use crate::components::Components;
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
 use std::collections::HashMap;
 
 /// xorshift64* — deterministic pseudo-randomness for processing order and
@@ -33,9 +33,10 @@ impl Rng {
 /// Deterministic for a fixed `seed`. Returns assignments packed like a
 /// component decomposition.
 pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Components {
-    let n_slots = g.n_slots();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     let mut label: Vec<u32> = (0..n_slots as u32).collect();
-    let live: Vec<usize> = (0..n_slots).filter(|&s| g.slot_id(s).is_some()).collect();
+    let live: Vec<usize> = (0..n_slots).filter(|&s| topo.is_live(s)).collect();
     let mut rng = Rng(seed | 1);
 
     let mut order = live.clone();
@@ -48,13 +49,13 @@ pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Co
         }
         let mut changed = false;
         for &s in &order {
-            let nbrs = g.nbrs_of_slot(s);
+            let nbrs = topo.out_row(s);
             if nbrs.is_empty() {
                 continue;
             }
             counts.clear();
-            for &n in nbrs {
-                let ns = g.slot_of(n).expect("neighbor exists");
+            for &ns in nbrs {
+                let ns = ns as usize;
                 if ns == s {
                     continue; // a self-loop is not a community vote
                 }

@@ -4,7 +4,7 @@
 //! graphs).
 
 use crate::frontier::{FrontierEngine, UNVISITED as UNREACHED};
-use ringo_graph::{Direction, NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, Direction, NodeId, UndirectedGraph};
 
 /// Output of the lowpoint DFS.
 #[derive(Clone, Debug, Default)]
@@ -53,7 +53,8 @@ pub fn is_reachable(g: &UndirectedGraph, a: NodeId, b: NodeId) -> bool {
 /// Self-loops are ignored; parallel edges cannot occur in
 /// [`UndirectedGraph`].
 pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
-    let n_slots = g.n_slots();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     const UNVISITED: u32 = u32::MAX;
     let mut disc = vec![UNVISITED; n_slots];
     let mut low = vec![0u32; n_slots];
@@ -61,9 +62,10 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
     let mut is_cut = vec![false; n_slots];
     let mut bridges = Vec::new();
     let mut timer = 0u32;
+    let id = |s: usize| g.slot_id(s).expect("visited slot live");
 
     for root in 0..n_slots {
-        if g.slot_id(root).is_none() || disc[root] != UNVISITED {
+        if !topo.is_live(root) || disc[root] != UNVISITED {
             continue;
         }
         let mut root_children = 0usize;
@@ -73,15 +75,12 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
         // Frames: (slot, next neighbor index).
         let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
         while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
-            let id = g.slot_id(slot).expect("visited slot live");
-            let nbrs = g.nbrs_of_slot(slot);
-            if *next < nbrs.len() {
-                let nbr = nbrs[*next];
+            if let Some(&ns) = topo.out_row(slot).get(*next) {
                 *next += 1;
-                if nbr == id {
+                let ns = ns as usize;
+                if ns == slot {
                     continue; // self-loop
                 }
-                let ns = g.slot_of(nbr).expect("neighbor exists");
                 if disc[ns] == UNVISITED {
                     parent[ns] = slot;
                     if slot == root {
@@ -100,8 +99,8 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
                 if p != usize::MAX {
                     low[p] = low[p].min(low[slot]);
                     if low[slot] > disc[p] {
-                        let pid = g.slot_id(p).expect("parent live");
-                        bridges.push((pid.min(id), pid.max(id)));
+                        let (a, b) = (id(p), id(slot));
+                        bridges.push((a.min(b), a.max(b)));
                     }
                     if p != root && low[slot] >= disc[p] {
                         is_cut[p] = true;
@@ -114,10 +113,8 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
         }
     }
 
-    let mut articulation_points: Vec<NodeId> = (0..n_slots)
-        .filter(|&s| is_cut[s])
-        .map(|s| g.slot_id(s).expect("cut slot live"))
-        .collect();
+    let mut articulation_points: Vec<NodeId> =
+        (0..n_slots).filter(|&s| is_cut[s]).map(id).collect();
     articulation_points.sort_unstable();
     bridges.sort_unstable();
     CutStructure {

@@ -6,37 +6,39 @@
 //! such that it survives in a subgraph of minimum degree `k`.
 
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
 
 /// Computes the core number of every node, as id → core.
 ///
 /// Self-loops contribute one to a node's degree, consistent with
 /// [`UndirectedGraph::degree`].
 pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
-    let n_slots = g.n_slots();
+    let core = core_by_slot(g);
+    let mut out = IntHashTable::with_capacity(g.node_count());
+    for (s, &c) in core.iter().enumerate() {
+        if let Some(id) = g.slot_id(s) {
+            out.insert(id, c);
+        }
+    }
+    out
+}
+
+/// Core number per slot (0 for vacant slots). Peels over the graph
+/// version's slot index ([`DirectedTopology::topology`]), so no neighbor
+/// id is hashed.
+fn core_by_slot(g: &UndirectedGraph) -> Vec<u32> {
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     // Dense arrays indexed by slot; vacant slots have degree 0 but are
     // excluded from the ordering.
-    let mut degree: Vec<u32> = (0..n_slots)
-        .map(|s| g.nbrs_of_slot(s).len() as u32)
-        .collect();
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let n = g.node_count();
-    let mut out = IntHashTable::with_capacity(n);
-    if n == 0 {
-        return out;
-    }
-    let max_deg = degree
-        .iter()
-        .zip(&live)
-        .filter(|(_, &l)| l)
-        .map(|(&d, _)| d)
-        .max()
-        .unwrap_or(0) as usize;
+    let mut degree: Vec<u32> = (0..n_slots).map(|s| topo.out_degree(s) as u32).collect();
+    let n = topo.node_count();
+    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
 
     // Bucket sort by degree.
     let mut bin_start = vec![0usize; max_deg + 2];
     for s in 0..n_slots {
-        if live[s] {
+        if topo.is_live(s) {
             bin_start[degree[s] as usize + 1] += 1;
         }
     }
@@ -48,7 +50,7 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
     {
         let mut cursor = bin_start.clone();
         for s in 0..n_slots {
-            if live[s] {
+            if topo.is_live(s) {
                 let d = degree[s] as usize;
                 pos[s] = cursor[d];
                 vert[cursor[d]] = s;
@@ -60,15 +62,12 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
     let mut bin = bin_start;
     bin.pop();
 
+    // Once `v` is peeled its degree is final: its core number.
     for i in 0..n {
         let v = vert[i];
-        let v_id = g.slot_id(v).expect("ordered slots are live");
-        out.insert(v_id, degree[v]);
-        for &u_id in g.nbrs_of_slot(v) {
-            if u_id == v_id {
-                continue;
-            }
-            let u = g.slot_of(u_id).expect("neighbor exists");
+        for &u in topo.out_row(v) {
+            // A self-loop (u == v) never passes this test.
+            let u = u as usize;
             if degree[u] > degree[v] {
                 // Move u one bucket down: swap with the first vertex of
                 // its current bucket.
@@ -87,32 +86,24 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
             }
         }
     }
-    out
+    degree
 }
 
 /// Extracts the `k`-core: the maximal subgraph in which every node has
 /// degree at least `k`. Returns an empty graph when no such subgraph
 /// exists.
 pub fn k_core(g: &UndirectedGraph, k: u32) -> UndirectedGraph {
-    let cores = core_numbers(g);
-    let keep = |id: NodeId| cores.get(id).is_some_and(|&c| c >= k);
-    let mut parts: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    for slot in 0..g.n_slots() {
-        let id = match g.slot_id(slot) {
-            Some(id) => id,
-            None => continue,
-        };
-        if !keep(id) {
-            continue;
-        }
-        let nbrs: Vec<NodeId> = g
-            .nbrs_of_slot(slot)
-            .iter()
-            .copied()
-            .filter(|&n| keep(n))
-            .collect();
-        parts.push((id, nbrs));
-    }
+    let core = core_by_slot(g);
+    let topo = g.topology();
+    // Vacant slots (core 0, no id) drop out at `slot_id`.
+    let parts: Vec<(NodeId, Vec<NodeId>)> = (0..topo.n_slots())
+        .filter(|&s| core[s] >= k)
+        .filter_map(|s| {
+            let nbrs = topo.out_row(s).iter().map(|&u| u as usize);
+            let kept = nbrs.filter(|&u| core[u] >= k).filter_map(|u| g.slot_id(u));
+            Some((g.slot_id(s)?, kept.collect()))
+        })
+        .collect();
     UndirectedGraph::from_parts(parts)
 }
 

@@ -16,9 +16,11 @@
 //! statistics (degree histograms, approximate diameter).
 //!
 //! Algorithms that read only the directed topology are generic over
-//! [`ringo_graph::DirectedTopology`], so they run unchanged on the dynamic
-//! hash-table graph and on the static CSR baseline — the representation
-//! ablation of DESIGN.md.
+//! [`ringo_graph::DirectedTopology`], so they run unchanged on every graph
+//! type. Kernels that keep per-node state over the whole graph walk the
+//! graph version's slot index ([`ringo_graph::Topology`]) instead of
+//! resolving a neighbor id per edge; the random walks, which touch only a
+//! few edges per call, resolve ids rather than build an index.
 
 #![warn(missing_docs)]
 

@@ -152,7 +152,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringo_graph::{CsrGraph, DirectedGraph};
+    use ringo_graph::DirectedGraph;
 
     fn config(threads: usize) -> PageRankConfig {
         PageRankConfig {
@@ -254,18 +254,25 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_hash_graph_agree() {
-        let edges: Vec<(i64, i64)> = vec![(1, 2), (2, 3), (3, 1), (3, 4), (4, 2)];
-        let mut dynamic = DirectedGraph::new();
+    fn bulk_and_incremental_builds_agree() {
+        // `add_edge` assigns slots in first-seen order, the bulk
+        // conversion in id order: same graph, different slot layout.
+        let edges: Vec<(i64, i64)> = vec![(3, 1), (4, 2), (1, 2), (2, 3), (3, 4)];
+        let table = ringo_gen::edges_to_table(&edges);
+        let bulk = ringo_convert::table_to_graph(&table, "src", "dst").unwrap();
+        let mut incremental = DirectedGraph::new();
         for &(s, d) in &edges {
-            dynamic.add_edge(s, d);
+            incremental.add_edge(s, d);
         }
-        let csr = CsrGraph::from_edges(&edges);
-        let a = pagerank(&dynamic, &config(1));
-        let b = pagerank(&csr, &config(1));
-        for (id, r) in &a {
-            let rb = rank_of(&b, *id);
-            assert!((r - rb).abs() < 1e-12, "id {id}: {r} vs {rb}");
+        assert_ne!(bulk.slot_of(3), incremental.slot_of(3));
+        for threads in [1, 4] {
+            let a = pagerank(&bulk, &config(threads));
+            let b = pagerank(&incremental, &config(threads));
+            assert_eq!(a.len(), b.len());
+            for (id, r) in &a {
+                let rb = rank_of(&b, *id);
+                assert!((r - rb).abs() < 1e-12, "id {id}: {r} vs {rb}");
+            }
         }
     }
 

@@ -49,41 +49,45 @@ where
     G: DirectedTopology,
     W: Fn(NodeId, NodeId) -> f64,
 {
-    let mut dist: IntHashTable<f64> = IntHashTable::new();
-    let src_slot = match g.slot_of(src) {
-        Some(s) => s,
-        None => return dist,
+    let mut out: IntHashTable<f64> = IntHashTable::new();
+    let Some(src_slot) = g.slot_of(src) else {
+        return out;
     };
+    let topo = g.topology();
+    let id = |s: usize| g.slot_id(s).expect("reached slot is live");
+    // `None` until reached: an infinite tentative distance still counts.
+    let mut dist: Vec<Option<f64>> = vec![None; topo.n_slots()];
     let mut heap = BinaryHeap::new();
-    dist.insert(src, 0.0);
+    dist[src_slot] = Some(0.0);
     heap.push(HeapEntry {
         dist: 0.0,
         slot: src_slot,
     });
     while let Some(HeapEntry { dist: d, slot }) = heap.pop() {
-        let u = g.slot_id(slot).expect("heap slot is live");
-        let best = *dist.get(u).expect("popped node has distance");
-        if d > best {
+        if dist[slot].is_some_and(|best| d > best) {
             continue; // stale entry
         }
-        for &v in g.out_nbrs_of_slot(slot) {
-            let w = weight(u, v);
+        let u = id(slot);
+        for &vs in topo.out_row(slot) {
+            let vs = vs as usize;
+            let w = weight(u, id(vs));
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
             let cand = d + w;
-            let better = match dist.get(v) {
-                Some(&cur) => cand < cur,
-                None => true,
-            };
-            if better {
-                dist.insert(v, cand);
+            if dist[vs].is_none_or(|cur| cand < cur) {
+                dist[vs] = Some(cand);
                 heap.push(HeapEntry {
                     dist: cand,
-                    slot: g.slot_of(v).expect("neighbor exists"),
+                    slot: vs,
                 });
             }
         }
     }
-    dist
+    for (s, d) in dist.into_iter().enumerate() {
+        if let Some(d) = d {
+            out.insert(id(s), d);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -3,19 +3,13 @@
 use crate::bfs::{bfs_distances, Direction};
 use ringo_graph::{DirectedTopology, NodeId};
 
-/// Histogram of out-degrees as sorted `(degree, node_count)` pairs.
+/// Histogram of node degrees along `dir` (out-, in- or total degree) as
+/// sorted `(degree, node_count)` pairs.
 pub fn degree_histogram<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(usize, usize)> {
+    let topo = g.topology();
     let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    for s in 0..g.n_slots() {
-        if g.slot_id(s).is_none() {
-            continue;
-        }
-        let d = match dir {
-            Direction::Out => g.out_nbrs_of_slot(s).len(),
-            Direction::In => g.in_nbrs_of_slot(s).len(),
-            Direction::Both => g.out_nbrs_of_slot(s).len() + g.in_nbrs_of_slot(s).len(),
-        };
-        *counts.entry(d).or_insert(0) += 1;
+    for s in (0..topo.n_slots()).filter(|&s| topo.is_live(s)) {
+        *counts.entry(topo.degree(dir, s)).or_insert(0) += 1;
     }
     counts.into_iter().collect()
 }
@@ -99,10 +93,6 @@ pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
     let mut total = 0usize;
     let mut mutual = 0usize;
     for s in 0..g.n_slots() {
-        let u = match g.slot_id(s) {
-            Some(id) => id,
-            None => continue,
-        };
         let ins = g.in_nbrs_of_slot(s);
         for &v in g.out_nbrs_of_slot(s) {
             total += 1;
@@ -110,7 +100,6 @@ pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
             if ins.binary_search(&v).is_ok() {
                 mutual += 1;
             }
-            let _ = u;
         }
     }
     if total == 0 {
@@ -125,17 +114,14 @@ pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
 /// negative: hubs link to the periphery (typical of social/web graphs).
 /// Returns 0 when undefined (fewer than 2 edges or zero variance).
 pub fn degree_assortativity<G: DirectedTopology>(g: &G) -> f64 {
-    let deg = |slot: usize| (g.out_nbrs_of_slot(slot).len() + g.in_nbrs_of_slot(slot).len()) as f64;
+    let topo = g.topology();
+    let deg = |slot: usize| topo.degree(Direction::Both, slot) as f64;
     let mut n = 0f64;
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0f64, 0f64, 0f64, 0f64, 0f64);
-    for s in 0..g.n_slots() {
-        if g.slot_id(s).is_none() {
-            continue;
-        }
+    for s in 0..topo.n_slots() {
         let x = deg(s);
-        for &v in g.out_nbrs_of_slot(s) {
-            let vs = g.slot_of(v).expect("neighbor exists");
-            let y = deg(vs);
+        for &v in topo.out_row(s) {
+            let y = deg(v as usize);
             n += 1.0;
             sx += x;
             sy += y;

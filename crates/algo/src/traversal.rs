@@ -9,32 +9,29 @@ use std::sync::atomic::Ordering;
 /// Nodes in iterative depth-first preorder from `src`, following
 /// out-edges. Neighbors are visited in adjacency (ascending id) order.
 pub fn dfs_order<G: DirectedTopology>(g: &G, src: NodeId) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    let src_slot = match g.slot_of(src) {
-        Some(s) => s,
-        None => return order,
+    let Some(src_slot) = g.slot_of(src) else {
+        return Vec::new();
     };
-    let mut visited = vec![false; g.n_slots()];
+    let topo = g.topology();
+    let mut visited = vec![false; topo.n_slots()];
     // Stack holds (slot, next-neighbor index).
     let mut stack: Vec<(usize, usize)> = vec![(src_slot, 0)];
     visited[src_slot] = true;
-    order.push(src);
+    let mut slots = vec![src_slot];
     while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
-        let nbrs = g.out_nbrs_of_slot(slot);
-        if *next >= nbrs.len() {
+        let Some(&ns) = topo.out_row(slot).get(*next) else {
             stack.pop();
             continue;
-        }
-        let nbr = nbrs[*next];
+        };
         *next += 1;
-        let ns = g.slot_of(nbr).expect("neighbor exists");
+        let ns = ns as usize;
         if !visited[ns] {
             visited[ns] = true;
-            order.push(nbr);
+            slots.push(ns);
             stack.push((ns, 0));
         }
     }
-    order
+    slots.iter().filter_map(|&s| g.slot_id(s)).collect()
 }
 
 /// Frontiers below this size are relaxed inline even when the pool has
@@ -50,41 +47,30 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// within each level, so the result is deterministic at every thread
 /// count.
 pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
-    let n_slots = g.n_slots();
-    let mut indeg = vec![0u32; n_slots];
-    let mut live = 0usize;
-    for (s, cell) in indeg.iter_mut().enumerate() {
-        if g.slot_id(s).is_some() {
-            live += 1;
-            *cell = g.in_nbrs_of_slot(s).len() as u32;
-        }
-    }
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
+    let mut indeg: Vec<u32> = (0..n_slots).map(|s| topo.in_degree(s) as u32).collect();
     let mut frontier: Vec<u32> = (0..n_slots)
-        .filter(|&s| g.slot_id(s).is_some() && indeg[s] == 0)
+        .filter(|&s| topo.is_live(s) && indeg[s] == 0)
         .map(|s| s as u32)
         .collect();
     let threads = num_threads();
-    let mut order = Vec::with_capacity(live);
+    let mut order = Vec::with_capacity(topo.node_count());
     while !frontier.is_empty() {
-        order.extend(
-            frontier
-                .iter()
-                .map(|&s| g.slot_id(s as usize).expect("queued slot live")),
-        );
+        order.extend(frontier.iter().filter_map(|&s| g.slot_id(s as usize)));
         let mut next: Vec<u32> = if threads > 1 && frontier.len() >= PAR_MIN_FRONTIER {
             let indeg = as_atomic(&mut indeg);
             let fr = &frontier;
             let (bufs, _) = parallel_map_morsels(fr.len(), threads, |_, range| {
                 let mut buf: Vec<u32> = Vec::new();
                 for &u in &fr[range] {
-                    for &nbr in g.out_nbrs_of_slot(u as usize) {
-                        let ns = g.slot_of(nbr).expect("neighbor exists");
+                    for &ns in topo.out_row(u as usize) {
                         // ORDERING: Relaxed — the decrement only needs
                         // atomicity (exactly one worker sees the count
                         // hit zero); the next round reads after the pool
                         // barrier's synchronization.
-                        if indeg[ns].fetch_sub(1, Ordering::Relaxed) == 1 {
-                            buf.push(ns as u32);
+                        if indeg[ns as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
+                            buf.push(ns);
                         }
                     }
                 }
@@ -94,11 +80,10 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
         } else {
             let mut buf: Vec<u32> = Vec::new();
             for &u in &frontier {
-                for &nbr in g.out_nbrs_of_slot(u as usize) {
-                    let ns = g.slot_of(nbr).expect("neighbor exists");
-                    indeg[ns] -= 1;
-                    if indeg[ns] == 0 {
-                        buf.push(ns as u32);
+                for &ns in topo.out_row(u as usize) {
+                    indeg[ns as usize] -= 1;
+                    if indeg[ns as usize] == 0 {
+                        buf.push(ns);
                     }
                 }
             }
@@ -107,7 +92,7 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
         next.sort_unstable();
         frontier = next;
     }
-    (order.len() == live).then_some(order)
+    (order.len() == topo.node_count()).then_some(order)
 }
 
 /// True when the directed graph contains at least one cycle (self-loops

@@ -10,21 +10,22 @@
 //! about `sqrt(2m)`, so a hub costs no more than its neighbors do (over
 //! id-ordered lists a hub costs degree²).
 //!
-//! The forward lists hold neighbor *slots*, built per call with one
-//! id → slot lookup per adjacency entry. Counting marks `u`'s forward
-//! list in a per-worker byte array and probes it with each forward
-//! neighbor's list, so an oriented edge `(u, v)` costs `|fwd(v)|`, not a
-//! merge over both lists. Workers share nothing and reduce partial counts.
+//! The forward lists hold neighbor *slots*, filtered per call from the
+//! graph version's slot index ([`DirectedTopology::topology`]), so no
+//! neighbor id is hashed. Counting marks `u`'s forward list in a
+//! per-worker byte array and probes it with each forward neighbor's list,
+//! so an oriented edge `(u, v)` costs `|fwd(v)|`, not a merge over both
+//! lists. Workers share nothing and reduce partial counts.
 
 use ringo_concurrent::{parallel_for, parallel_map, DisjointSlice};
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, Topology, UndirectedGraph};
 
 /// Counts the number of distinct triangles. Self-loops never form
 /// triangles and are ignored. `threads = 1` gives the sequential variant.
 pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
     let mut sp = ringo_trace::span!("algo.triangles");
     sp.rows_in(g.edge_count());
-    let fwd = Forward::build(g, threads);
+    let fwd = Forward::build(g.topology(), threads);
     let n = g.n_slots();
     let parts = parallel_map(n, threads, |range| {
         let mut mark = vec![false; n];
@@ -52,7 +53,7 @@ pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
 
 /// Degree-oriented adjacency: row `s` lists the neighbors of slot `s`
 /// that rank above it by `(degree, slot)`. Each row is the front of a
-/// full-degree block, so one pass both resolves and filters neighbors.
+/// full-degree block, so one pass over the index row fills it.
 struct Forward {
     off: Vec<usize>,
     len: Vec<u32>,
@@ -60,20 +61,20 @@ struct Forward {
 }
 
 impl Forward {
-    fn build(g: &UndirectedGraph, threads: usize) -> Self {
-        let n = g.n_slots();
-        let deg: Vec<usize> = (0..n).map(|s| g.nbrs_of_slot(s).len()).collect();
+    fn build(topo: &Topology, threads: usize) -> Self {
+        let n = topo.n_slots();
         let mut off = Vec::with_capacity(n + 1);
         off.push(0usize);
         for s in 0..n {
-            off.push(off[s] + deg[s]);
+            off.push(off[s] + topo.out_degree(s));
         }
         let mut adj = vec![0u32; off[n]];
         let mut len = vec![0u32; n];
         {
             let adj_cell = DisjointSlice::new(&mut adj);
             let len_cell = DisjointSlice::new(&mut len);
-            let (off, deg) = (&off, &deg);
+            let off = &off;
+            let rank = |s: usize| (topo.out_degree(s), s);
             parallel_for(n, threads, |_, range| {
                 for u in range {
                     // SAFETY: block `[off[u], off[u + 1])` and entry `u`
@@ -81,10 +82,9 @@ impl Forward {
                     // slot range, so each is written by exactly one worker.
                     let row = unsafe { adj_cell.slice_mut(off[u], off[u + 1]) };
                     let mut k = 0;
-                    for &id in g.nbrs_of_slot(u) {
-                        let Some(v) = g.slot_of(id) else { continue };
-                        if (deg[v], v) > (deg[u], u) {
-                            row[k] = v as u32;
+                    for &v in topo.out_row(u) {
+                        if rank(v as usize) > rank(u) {
+                            row[k] = v;
                             k += 1;
                         }
                     }

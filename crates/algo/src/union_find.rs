@@ -97,16 +97,13 @@ pub fn weakly_connected_components_parallel<G: DirectedTopology>(
 ) -> Components {
     let mut sp = ringo_trace::span!("algo.wcc_parallel");
     sp.rows_in(g.node_count());
-    let n_slots = g.n_slots();
+    let topo = g.topology();
+    let n_slots = topo.n_slots();
     let uf = ConcurrentUnionFind::new(n_slots);
     parallel_for(n_slots, threads, |_, range| {
         for slot in range {
-            if g.slot_id(slot).is_none() {
-                continue;
-            }
-            for &nbr in g.out_nbrs_of_slot(slot) {
-                let ns = g.slot_of(nbr).expect("neighbor exists");
-                uf.union(slot, ns);
+            for &ns in topo.out_row(slot) {
+                uf.union(slot, ns as usize);
             }
         }
     });

@@ -48,7 +48,7 @@ pub use oplog::{OpLog, OpRecord, OpTiming};
 pub use query::{OpProfile, QueryBuilder, QueryProfile};
 
 pub use ringo_algo::{Direction, PageRankConfig};
-pub use ringo_graph::{CsrGraph, DirectedGraph, NodeId, UndirectedGraph, WeightedDigraph};
+pub use ringo_graph::{DirectedGraph, NodeId, UndirectedGraph, WeightedDigraph};
 pub use ringo_table::{AggOp, Cmp, ColumnType, Predicate, Schema, Table, TableError, Value};
 
 use std::path::Path;

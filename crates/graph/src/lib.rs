@@ -11,17 +11,17 @@
 //!   out-neighbor vectors. Space is ~16 bytes per edge plus node overhead,
 //!   "similar to those of the Compressed Sparse Row format".
 //! * [`UndirectedGraph`] — same idea with a single neighbor vector per node.
-//! * [`CsrGraph`] — a static CSR baseline used by the ablation benchmarks
-//!   to quantify exactly the trade-off the paper describes.
+//! * [`WeightedDigraph`] — the directed layout with a weight per out-edge.
 //! * [`DirectedTopology`] — slot-addressed read access implemented by every
 //!   representation so algorithms can run on any of them.
-//! * [`Topology`] — the per-version slot index every representation builds
-//!   once and caches: adjacency rows of neighbor slots, so kernels never
-//!   hash a neighbor id per edge.
+//! * [`Topology`] — the library's only CSR: a read-only index of one graph
+//!   version (adjacency rows of neighbor slots), built once and cached, so
+//!   whole-graph kernels never hash a neighbor id per edge. An edit costs
+//!   `O(degree)` on the graph and drops the index; the next kernel call
+//!   rebuilds it in `O(E)` — what every edit would cost a static CSR.
 
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod directed;
 pub mod io;
 mod nbrs;
@@ -31,7 +31,6 @@ pub mod transform;
 pub mod undirected;
 pub mod weighted;
 
-pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
 pub use nbrs::{AdjacencyStats, CompactStats};
 pub use topology::Topology;

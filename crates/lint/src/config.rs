@@ -93,19 +93,11 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     // invariant established by the surrounding code (queued slots are
     // live, popped nodes have distances, neighbors exist in the graph).
     (
-        "crates/algo/src/anf.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/bfs.rs",
         "invariant expects in kernel loops",
     ),
     (
         "crates/algo/src/bipartite.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/centrality.rs",
         "invariant expects in kernel loops",
     ),
     (
@@ -125,10 +117,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/kcore.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/ktruss.rs",
         "invariant expects in kernel loops",
     ),
@@ -142,18 +130,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/algo/src/sssp.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/stats.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/traversal.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/union_find.rs",
         "invariant expects in kernel loops",
     ),
     (
@@ -215,10 +191,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "generated columns are consistent",
     ),
     // Graph mutation paths: cells ensured earlier in the same call.
-    (
-        "crates/graph/src/csr.rs",
-        "index built in the same function",
-    ),
     (
         "crates/graph/src/directed.rs",
         "cells ensured in the same call",

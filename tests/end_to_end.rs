@@ -75,7 +75,13 @@ fn algorithms_agree_across_representations_and_thread_counts() {
     });
     let table = ringo::gen::edges_to_table(&edges);
     let g = ringo::convert::table_to_graph(&table, "src", "dst").unwrap();
-    let csr = ringo::CsrGraph::from_edges(&edges);
+    // The same graph built edge by edge: slots in first-seen order rather
+    // than the bulk conversion's id order.
+    let mut incremental = ringo::DirectedGraph::new();
+    for &(s, d) in &edges {
+        incremental.add_edge(s, d);
+    }
+    assert_eq!(incremental.edge_count(), g.edge_count());
 
     for threads in [1usize, 4] {
         let cfg = PageRankConfig {
@@ -83,7 +89,7 @@ fn algorithms_agree_across_representations_and_thread_counts() {
             ..Default::default()
         };
         let a = pagerank(&g, &cfg);
-        let b = pagerank(&csr, &cfg);
+        let b = pagerank(&incremental, &cfg);
         let find = |res: &[(i64, f64)], id: i64| {
             res.iter().find(|(n, _)| *n == id).map(|(_, s)| *s).unwrap()
         };

@@ -11,14 +11,21 @@
 //!   replaced, kept below as oracles;
 //! * BFS distances and parents, unweighted SSSP, WCC, SCC and triangle
 //!   counts must equal plain-array oracles;
+//! * core numbers and the 3-core, DFS preorder, topological order and
+//!   cycle detection, articulation points and bridges, parallel WCC and
+//!   Dijkstra distances must equal plain-array or id-lookup oracles, and
+//!   label propagation, the ANF curve and degree assortativity must be
+//!   bit-identical to the id-lookup loops they replaced;
 //! * a mutation after the index was built must give the answers of a
 //!   freshly built graph, and a compacted catalog version must share its
 //!   parent's index and give identical answers.
 
 use ringo::algo::{
-    count_triangles, eigenvector_centrality, hits, pagerank, personalized_pagerank,
-    sssp_unweighted, strongly_connected_components, weakly_connected_components, Components,
-    FrontierEngine, HitsScores,
+    approx_neighborhood_function, core_numbers, count_triangles, cut_structure,
+    degree_assortativity, degree_centrality, degree_histogram, dfs_order, eigenvector_centrality,
+    has_cycle, hits, k_core, label_propagation, pagerank, personalized_pagerank, sssp_dijkstra,
+    sssp_unweighted, strongly_connected_components, topological_sort, weakly_connected_components,
+    weakly_connected_components_parallel, Components, FrontierEngine, HitsScores,
 };
 use ringo::concurrent::parallel_reduce;
 use ringo::gen::{edges_to_table, RmatConfig};
@@ -631,4 +638,444 @@ fn compacted_version_shares_the_index_and_the_answers() {
         kernel_groups(&strongly_connected_components(v2.as_ref())),
     );
     check_traversals(&v2, 2);
+}
+
+// ---- the kernels rerouted from per-edge id lookups onto the index ----
+
+/// The undirected view of [`test_graph`], with every 13th node deleted
+/// so its own slot space has vacancies too (self-loops carry over).
+fn test_undirected(seed: u64) -> UndirectedGraph {
+    let mut u = test_graph(seed).to_undirected();
+    let ids: Vec<NodeId> = u.node_ids().collect();
+    for &id in ids.iter().skip(5).step_by(13) {
+        u.del_node(id);
+    }
+    assert!(u.n_slots() > u.node_count(), "deletions leave vacant slots");
+    u
+}
+
+fn uslot(u: &UndirectedGraph, id: NodeId) -> usize {
+    u.slot_of(id).expect("neighbor id is a node")
+}
+
+/// Core number per slot by naive peeling: repeatedly remove a node of
+/// minimum remaining degree (self-loops count once, as in the kernel).
+fn core_oracle(u: &UndirectedGraph) -> Vec<u32> {
+    let n = u.n_slots();
+    let mut deg: Vec<usize> = (0..n).map(|s| u.nbrs_of_slot(s).len()).collect();
+    let mut left: Vec<usize> = (0..n).filter(|&s| u.slot_id(s).is_some()).collect();
+    let mut core = vec![0u32; n];
+    let mut k = 0;
+    while let Some(i) = (0..left.len()).min_by_key(|&i| deg[left[i]]) {
+        let v = left.swap_remove(i);
+        k = k.max(deg[v]);
+        core[v] = k as u32;
+        for &id in u.nbrs_of_slot(v) {
+            let w = uslot(u, id);
+            if w != v && left.contains(&w) {
+                deg[w] -= 1;
+            }
+        }
+    }
+    core
+}
+
+/// Preorder of a recursive DFS along out-edges in adjacency order.
+fn dfs_oracle(g: &DirectedGraph, src: NodeId) -> Vec<NodeId> {
+    fn visit(g: &DirectedGraph, s: usize, seen: &mut [bool], order: &mut Vec<NodeId>) {
+        seen[s] = true;
+        order.push(g.slot_id(s).unwrap());
+        for &id in g.out_nbrs_of_slot(s) {
+            let v = slot(g, id);
+            if !seen[v] {
+                visit(g, v, seen, order);
+            }
+        }
+    }
+    let mut order = Vec::new();
+    visit(g, slot(g, src), &mut vec![false; g.n_slots()], &mut order);
+    order
+}
+
+/// Level-synchronous Kahn with slot-order ties (the kernel's contract):
+/// `None` when some node never reaches in-degree zero.
+fn topo_oracle(g: &DirectedGraph) -> Option<Vec<NodeId>> {
+    let live = live(g);
+    let mut indeg: Vec<usize> = (0..g.n_slots())
+        .map(|s| g.in_nbrs_of_slot(s).len())
+        .collect();
+    let mut level: Vec<usize> = (0..g.n_slots())
+        .filter(|&s| live[s] && indeg[s] == 0)
+        .collect();
+    let mut order = Vec::new();
+    while !level.is_empty() {
+        order.extend(level.iter().map(|&s| g.slot_id(s).unwrap()));
+        let mut next = Vec::new();
+        for &s in &level {
+            for &id in g.out_nbrs_of_slot(s) {
+                let v = slot(g, id);
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    next.push(v);
+                }
+            }
+        }
+        next.sort_unstable();
+        level = next;
+    }
+    (order.len() == g.node_count()).then_some(order)
+}
+
+/// Components of `u` without node `skip_node` and edge `skip_edge`.
+fn components_without(
+    u: &UndirectedGraph,
+    skip_node: Option<NodeId>,
+    skip_edge: Option<(NodeId, NodeId)>,
+) -> usize {
+    let mut up: Vec<usize> = (0..u.n_slots()).collect();
+    fn find(up: &mut [usize], mut x: usize) -> usize {
+        while up[x] != x {
+            up[x] = up[up[x]];
+            x = up[x];
+        }
+        x
+    }
+    for (a, b) in u.edges() {
+        if skip_node.is_some_and(|x| x == a || x == b) || skip_edge == Some((a, b)) {
+            continue;
+        }
+        let (ra, rb) = (find(&mut up, uslot(u, a)), find(&mut up, uslot(u, b)));
+        up[ra.max(rb)] = ra.min(rb);
+    }
+    (0..u.n_slots())
+        .filter(|&s| u.slot_id(s).is_some_and(|id| Some(id) != skip_node))
+        .filter(|&s| find(&mut up, s) == s)
+        .count()
+}
+
+/// Articulation points and bridges by deletion: a node or edge is one
+/// when removing it leaves more components than before.
+fn cut_oracle(u: &UndirectedGraph) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
+    let base = components_without(u, None, None);
+    let mut points: Vec<NodeId> = u
+        .node_ids()
+        .filter(|&id| components_without(u, Some(id), None) > base)
+        .collect();
+    points.sort_unstable();
+    let mut bridges: Vec<(NodeId, NodeId)> = u
+        .edges()
+        .filter(|&(a, b)| a != b && components_without(u, None, Some((a, b))) > base)
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
+    bridges.sort_unstable();
+    (points, bridges)
+}
+
+/// Edge weights that are multiples of 0.5, so every path sum is exact
+/// and any correct Dijkstra gives bit-identical distances.
+fn weight(a: NodeId, b: NodeId) -> f64 {
+    (a * 7 + b).rem_euclid(5) as f64 * 0.5
+}
+
+/// Array Dijkstra: settle the closest unsettled slot, O(V²).
+fn dijkstra_oracle(g: &DirectedGraph, src: NodeId) -> HashMap<NodeId, f64> {
+    let n = g.n_slots();
+    let mut dist: Vec<Option<f64>> = vec![None; n];
+    let mut done = vec![false; n];
+    dist[slot(g, src)] = Some(0.0);
+    while let Some(u) = (0..n)
+        .filter(|&s| !done[s] && dist[s].is_some())
+        .min_by(|&a, &b| dist[a].unwrap().total_cmp(&dist[b].unwrap()))
+    {
+        done[u] = true;
+        let (uid, du) = (g.slot_id(u).unwrap(), dist[u].unwrap());
+        for &v in g.out_nbrs_of_slot(u) {
+            let (vs, cand) = (slot(g, v), du + weight(uid, v));
+            if dist[vs].is_none_or(|d| cand < d) {
+                dist[vs] = Some(cand);
+            }
+        }
+    }
+    (0..n)
+        .filter_map(|s| Some((g.slot_id(s)?, dist[s]?)))
+        .collect()
+}
+
+/// The xorshift64* generator label propagation draws from.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: usize) -> usize {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n as u64) as usize
+    }
+}
+
+/// Label propagation as it read neighbors by id before the index:
+/// `(id, packed label)` in slot order, and the packed sizes.
+fn label_propagation_oracle(
+    u: &UndirectedGraph,
+    max_iters: usize,
+    seed: u64,
+) -> (Vec<(NodeId, u32)>, Vec<usize>) {
+    let n = u.n_slots();
+    let mut label: Vec<u32> = (0..n as u32).collect();
+    let live: Vec<usize> = (0..n).filter(|&s| u.slot_id(s).is_some()).collect();
+    let mut rng = XorShift(seed | 1);
+    let mut order = live.clone();
+    let mut counts: HashMap<u32, usize> = HashMap::new();
+    for _ in 0..max_iters {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        let mut changed = false;
+        for &s in &order {
+            counts.clear();
+            for &id in u.nbrs_of_slot(s) {
+                let ns = uslot(u, id);
+                if ns != s {
+                    *counts.entry(label[ns]).or_insert(0) += 1;
+                }
+            }
+            let Some(&best) = counts.values().max() else {
+                continue;
+            };
+            let mut tied: Vec<u32> = counts
+                .iter()
+                .filter(|(_, &c)| c == best)
+                .map(|(&l, _)| l)
+                .collect();
+            let new = if tied.contains(&label[s]) {
+                label[s]
+            } else {
+                tied.sort_unstable();
+                tied[rng.below(tied.len())]
+            };
+            changed |= new != label[s];
+            label[s] = new;
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut dense: HashMap<u32, u32> = HashMap::new();
+    let mut sizes = Vec::new();
+    let mut packed = Vec::new();
+    for &s in &live {
+        let next = dense.len() as u32;
+        let c = *dense.entry(label[s]).or_insert(next);
+        if c as usize == sizes.len() {
+            sizes.push(0);
+        }
+        sizes[c as usize] += 1;
+        packed.push((u.slot_id(s).unwrap(), c));
+    }
+    (packed, sizes)
+}
+
+/// The ANF sweep as it read out-neighbors by id before the index.
+fn anf_oracle(g: &DirectedGraph, max_hops: usize, k: usize, seed: u64) -> Vec<f64> {
+    let n = g.n_slots();
+    let live = live(g);
+    let mut cur = vec![0u64; n * k];
+    let mut state = seed | 1;
+    for s in (0..n).filter(|&s| live[s]) {
+        for j in 0..k {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            cur[s * k + j] |= 1u64 << (state.trailing_zeros() as usize).min(62);
+        }
+    }
+    let n_live = live.iter().filter(|&&l| l).count();
+    let estimate = |bits: &[u64], s: usize| {
+        let mean_b = bits[s * k..s * k + k]
+            .iter()
+            .map(|m| f64::from(m.trailing_ones()))
+            .sum::<f64>()
+            / k as f64;
+        2f64.powf(mean_b) / 0.773_51
+    };
+    let mut curve = Vec::new();
+    for _ in 0..max_hops {
+        let mut next = cur.clone();
+        for s in (0..n).filter(|&s| live[s]) {
+            for &id in g.out_nbrs_of_slot(s) {
+                let v = slot(g, id);
+                for j in 0..k {
+                    next[s * k + j] |= cur[v * k + j];
+                }
+            }
+        }
+        cur = next;
+        let total: f64 = (0..n).filter(|&s| live[s]).map(|s| estimate(&cur, s)).sum();
+        curve.push((total - n_live as f64).max(0.0));
+    }
+    curve
+}
+
+/// Degree assortativity as it read endpoint degrees by id before the
+/// index.
+fn assortativity_oracle(g: &DirectedGraph) -> f64 {
+    let deg = |s: usize| (g.out_nbrs_of_slot(s).len() + g.in_nbrs_of_slot(s).len()) as f64;
+    let mut n = 0f64;
+    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0f64, 0f64, 0f64, 0f64, 0f64);
+    for s in (0..g.n_slots()).filter(|&s| g.slot_id(s).is_some()) {
+        let x = deg(s);
+        for &v in g.out_nbrs_of_slot(s) {
+            let y = deg(slot(g, v));
+            n += 1.0;
+            sx += x;
+            sy += y;
+            sxx += x * x;
+            syy += y * y;
+            sxy += x * y;
+        }
+    }
+    let cov = sxy / n - (sx / n) * (sy / n);
+    let vx = sxx / n - (sx / n) * (sx / n);
+    let vy = syy / n - (sy / n) * (sy / n);
+    cov / (vx * vy).sqrt()
+}
+
+/// Degree along `dir` per live slot, from the adjacency lists.
+fn degree_oracle(g: &DirectedGraph, dir: Direction) -> Vec<(NodeId, usize)> {
+    let (out, inn) = match dir {
+        Direction::Out => (1, 0),
+        Direction::In => (0, 1),
+        Direction::Both => (1, 1),
+    };
+    (0..g.n_slots())
+        .filter_map(|s| {
+            let d = out * g.out_nbrs_of_slot(s).len() + inn * g.in_nbrs_of_slot(s).len();
+            Some((g.slot_id(s)?, d))
+        })
+        .collect()
+}
+
+fn check_undirected_kernels(u: &UndirectedGraph) {
+    let want = core_oracle(u);
+    let cores = core_numbers(u);
+    assert_eq!(cores.len(), u.node_count(), "core numbers cover the nodes");
+    for s in (0..u.n_slots()).filter(|&s| u.slot_id(s).is_some()) {
+        let id = u.slot_id(s).unwrap();
+        assert_eq!(cores.get(id), Some(&want[s]), "core number of {id}");
+    }
+    let core3 = k_core(u, 3);
+    let in3 = |id: NodeId| want[uslot(u, id)] >= 3;
+    let mut nodes: Vec<NodeId> = core3.node_ids().collect();
+    nodes.sort_unstable();
+    let mut want_nodes: Vec<NodeId> = u.node_ids().filter(|&id| in3(id)).collect();
+    want_nodes.sort_unstable();
+    assert!(!want_nodes.is_empty(), "the test graph has a 3-core");
+    assert_eq!(nodes, want_nodes, "3-core nodes");
+    for &id in &nodes {
+        let want_nbrs: Vec<NodeId> = u.nbrs(id).iter().copied().filter(|&n| in3(n)).collect();
+        assert_eq!(core3.nbrs(id), want_nbrs, "3-core neighbors of {id}");
+    }
+
+    let cut = cut_structure(u);
+    let (points, bridges) = cut_oracle(u);
+    assert!(!bridges.is_empty(), "the test graph has bridges");
+    assert_eq!(cut.articulation_points, points, "articulation points");
+    assert_eq!(cut.bridges, bridges, "bridges");
+
+    for seed in [1, 8] {
+        let got = label_propagation(u, 10, seed);
+        let (packed, sizes) = label_propagation_oracle(u, 10, seed);
+        assert_eq!(got.sizes, sizes, "label propagation sizes, seed {seed}");
+        for (id, c) in packed {
+            assert_eq!(got.comp_of.get(id), Some(&c), "community of {id}");
+        }
+    }
+}
+
+fn check_directed_kernels(g: &DirectedGraph, threads: usize) {
+    for src in sources(g) {
+        assert_eq!(dfs_order(g, src), dfs_oracle(g, src), "dfs from {src}");
+        let dist = sssp_dijkstra(g, src, weight);
+        let want = dijkstra_oracle(g, src);
+        assert_eq!(dist.len(), want.len(), "dijkstra reach from {src}");
+        for (id, d) in dist.iter() {
+            assert_eq!(d.to_bits(), want[&id].to_bits(), "dijkstra to {id}");
+        }
+    }
+    assert_eq!(topological_sort(g), topo_oracle(g), "topological order");
+    assert_eq!(
+        kernel_groups(&weakly_connected_components_parallel(g, threads)),
+        oracle_groups(g, &wcc_oracle(g)),
+        "parallel wcc"
+    );
+    let got = approx_neighborhood_function(g, 5, 8, 17);
+    let want = anf_oracle(g, 5, 8, 17);
+    let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+    let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(got, want, "anf curve");
+    assert_eq!(
+        degree_assortativity(g).to_bits(),
+        assortativity_oracle(g).to_bits(),
+        "assortativity"
+    );
+    let n = g.node_count() as f64 - 1.0;
+    for dir in [Direction::Out, Direction::In, Direction::Both] {
+        let want = degree_oracle(g, dir);
+        let got: Vec<(NodeId, f64)> = degree_centrality(g, dir);
+        let scaled: Vec<(NodeId, f64)> = want.iter().map(|&(id, d)| (id, d as f64 / n)).collect();
+        assert_bits("degree centrality", &got, &scaled);
+        let mut hist: HashMap<usize, usize> = HashMap::new();
+        for (_, d) in want {
+            *hist.entry(d).or_default() += 1;
+        }
+        let mut hist: Vec<(usize, usize)> = hist.into_iter().collect();
+        hist.sort_unstable();
+        assert_eq!(degree_histogram(g, dir), hist, "degree histogram {dir:?}");
+    }
+}
+
+/// [`test_graph`] without the edges that point to a smaller id: a DAG
+/// on the same (vacancy-holding) slots.
+fn test_dag(seed: u64) -> DirectedGraph {
+    let mut g = test_graph(seed);
+    let back: Vec<(NodeId, NodeId)> = g.edges().filter(|&(s, d)| s >= d).collect();
+    for (s, d) in back {
+        g.del_edge(s, d);
+    }
+    g
+}
+
+/// ANF, topological sort and the index build size their parallelism
+/// from `RINGO_THREADS`, so each thread count runs the checks in a child
+/// process: no test in this process sees the variable change.
+#[test]
+fn rerouted_kernels_match_id_lookup_oracles() {
+    for threads in THREADS {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "rerouted_kernels_at_ringo_threads", "--ignored"])
+            .env("RINGO_THREADS", threads.to_string())
+            .output()
+            .expect("spawn child test process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "RINGO_THREADS={threads}:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+#[ignore = "run by rerouted_kernels_match_id_lookup_oracles, once per thread count"]
+fn rerouted_kernels_at_ringo_threads() {
+    let threads = ringo::concurrent::num_threads();
+    let g = test_graph(5);
+    assert!(has_cycle(&g), "self-loops are cycles");
+    check_directed_kernels(&g, threads);
+    let dag = test_dag(5);
+    assert!(!has_cycle(&dag), "no edge points back");
+    check_directed_kernels(&dag, threads);
+    check_undirected_kernels(&test_undirected(5));
 }
