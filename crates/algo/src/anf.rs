@@ -8,7 +8,7 @@
 //! The effective-diameter estimate derived from it is how large-graph
 //! studies report distances.
 
-use ringo_concurrent::{num_threads, parallel_for_morsels, DisjointSlice};
+use ringo_concurrent::{num_threads, parallel_for, DisjointSlice, Grain};
 use ringo_graph::DirectedTopology;
 
 /// Flajolet–Martin sketch state: `k` bitmasks per node.
@@ -88,7 +88,7 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
         {
             let cur_bits = &cur.bits;
             let out = DisjointSlice::new(&mut next);
-            parallel_for_morsels(n_slots, threads, |_, range| {
+            parallel_for(n_slots, threads, Grain::Morsel, |_, range| {
                 for slot in range {
                     let base = slot * k;
                     // SAFETY: morsels partition `0..n_slots`, so slot

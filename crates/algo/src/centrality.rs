@@ -77,11 +77,16 @@ pub fn betweenness_centrality_parallel<G: DirectedTopology>(
     threads: usize,
 ) -> Vec<(NodeId, f64)> {
     let sources = live_slots(g);
-    let partials: Vec<Vec<f64>> = ringo_concurrent::parallel_map(sources.len(), threads, |range| {
-        // The inner BFS runs single-threaded: parallelism lives in the
-        // source partition here.
-        brandes(g, &sources[range], 1.0, 1)
-    });
+    let partials: Vec<Vec<f64>> = ringo_concurrent::parallel_map(
+        sources.len(),
+        threads,
+        ringo_concurrent::Grain::PerThread,
+        |_, range| {
+            // The inner BFS runs single-threaded: parallelism lives in the
+            // source partition here.
+            brandes(g, &sources[range], 1.0, 1)
+        },
+    );
     let mut acc = vec![0.0f64; g.n_slots()];
     for part in &partials {
         for (a, v) in acc.iter_mut().zip(part) {

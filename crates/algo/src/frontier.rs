@@ -44,7 +44,7 @@
 //! switch points and worker busy-time.
 
 use crate::bfs::Direction;
-use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
+use ringo_concurrent::{num_threads, parallel_map_timed, ConcurrentBitset};
 use ringo_graph::{DirectedTopology, NodeId, Topology};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -317,7 +317,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         let dist = as_atomic(&mut state.dist);
         let parent = as_atomic(&mut state.parent);
         let frontier = &state.visited[lo..hi];
-        let (bufs, stats) = parallel_map_morsels(frontier.len(), self.threads, |_, range| {
+        let (bufs, stats) = parallel_map_timed(None, frontier.len(), self.threads, |_, range| {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
             for &u in &frontier[range] {
@@ -377,7 +377,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         let dist = as_atomic(&mut state.dist);
         let parent = as_atomic(&mut state.parent);
         let n_slots = self.g.n_slots();
-        let (bufs, stats) = parallel_map_morsels(n_slots, self.threads, |_, range| {
+        let (bufs, stats) = parallel_map_timed(None, n_slots, self.threads, |_, range| {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
             for vs in range {
@@ -444,7 +444,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             std::mem::swap(&mut cur, &mut next);
         } else {
             cur.clear();
-            let stats = parallel_for_morsels(frontier.len(), self.threads, |_, range| {
+            let (_, stats) = parallel_map_timed(None, frontier.len(), self.threads, |_, range| {
                 for &s in &frontier[range] {
                     cur.set(s as usize);
                 }

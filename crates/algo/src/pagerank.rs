@@ -11,10 +11,13 @@
 //! [`ringo_graph::Topology`]: neighbor slots resolved once per version, so
 //! an iteration is pure array arithmetic over two `f64` arrays (the rank,
 //! updated in place, and the per-slot contribution it pulls from).
-//! Liveness and out-degrees come from the index too.
+//! Liveness and out-degrees come from the index too. Every slot's value
+//! is computed on its own and the one cross-slot float sum (the dangling
+//! mass) runs over fixed morsels, so scores are bit-identical at every
+//! thread count.
 
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_concurrent::parallel_reduce;
+use ringo_concurrent::{parallel_map, Grain};
 use ringo_graph::{DirectedTopology, NodeId};
 
 /// Parameters for [`pagerank`].
@@ -74,6 +77,12 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
         .map(|s| if topo.is_live(s) { init } else { 0.0 })
         .collect();
     let mut contrib = vec![0.0f64; n_slots];
+    // Dangling slots (live, no out-edges) do not change between
+    // iterations: list them once instead of re-testing every slot.
+    let dangling_slots: Vec<u32> = (0..n_slots)
+        .filter(|&s| topo.is_live(s) && topo.out_degree(s) == 0)
+        .map(|s| s as u32)
+        .collect();
     // The convergence test compares against the previous iterate, which
     // the in-place update overwrites; only that mode keeps a copy.
     let mut prev = config.tolerance.map(|_| vec![0.0f64; n_slots]);
@@ -94,21 +103,18 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
                 }
             });
         }
-        let dangling: f64 = parallel_reduce(
-            n_slots,
-            config.threads,
-            0.0,
-            |range| {
-                let mut s = 0.0;
-                for i in range {
-                    if topo.is_live(i) && topo.out_degree(i) == 0 {
-                        s += rank[i];
-                    }
-                }
-                s
-            },
-            |a, b| a + b,
-        );
+        // Dangling mass: per-morsel partial sums (in slot order) folded in
+        // morsel order, so the float sum (and the whole kernel) is
+        // bit-identical at every thread count.
+        let dangling: f64 = parallel_map(n_slots, config.threads, Grain::Morsel, |_, range| {
+            let lo = dangling_slots.partition_point(|&s| (s as usize) < range.start);
+            let hi = dangling_slots.partition_point(|&s| (s as usize) < range.end);
+            dangling_slots[lo..hi]
+                .iter()
+                .fold(0.0, |acc, &s| acc + rank[s as usize])
+        })
+        .into_iter()
+        .fold(0.0, |a, b| a + b);
 
         let base = (1.0 - config.damping) / n as f64 + config.damping * dangling / n as f64;
         if let Some(prev) = prev.as_mut() {
@@ -141,7 +147,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
 
     // Free the working arrays before the result is allocated, so the
     // call's peak holds the rank and the result, never all three.
-    drop((contrib, prev));
+    drop((contrib, prev, dangling_slots));
     let out: Vec<(NodeId, f64)> = (0..n_slots)
         .filter_map(|s| g.slot_id(s).map(|id| (id, rank[s])))
         .collect();

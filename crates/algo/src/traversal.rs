@@ -2,7 +2,7 @@
 //! detection.
 
 use crate::frontier::as_atomic;
-use ringo_concurrent::{num_threads, parallel_map_morsels};
+use ringo_concurrent::{num_threads, parallel_map, Grain};
 use ringo_graph::{DirectedTopology, NodeId};
 use std::sync::atomic::Ordering;
 
@@ -61,7 +61,7 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
         let mut next: Vec<u32> = if threads > 1 && frontier.len() >= PAR_MIN_FRONTIER {
             let indeg = as_atomic(&mut indeg);
             let fr = &frontier;
-            let (bufs, _) = parallel_map_morsels(fr.len(), threads, |_, range| {
+            let bufs = parallel_map(fr.len(), threads, Grain::Morsel, |_, range| {
                 let mut buf: Vec<u32> = Vec::new();
                 for &u in &fr[range] {
                     for &ns in topo.out_row(u as usize) {

@@ -17,7 +17,7 @@
 //! so an oriented edge `(u, v)` costs `|fwd(v)|`, not a merge over both
 //! lists. Workers share nothing and reduce partial counts.
 
-use ringo_concurrent::{parallel_for, parallel_map, DisjointSlice};
+use ringo_concurrent::{parallel_for, parallel_map, DisjointSlice, Grain};
 use ringo_graph::{DirectedTopology, NodeId, Topology, UndirectedGraph};
 
 /// Counts the number of distinct triangles. Self-loops never form
@@ -27,7 +27,7 @@ pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
     sp.rows_in(g.edge_count());
     let fwd = Forward::build(g.topology(), threads);
     let n = g.n_slots();
-    let parts = parallel_map(n, threads, |range| {
+    let parts = parallel_map(n, threads, Grain::PerThread, |_, range| {
         let mut mark = vec![false; n];
         let mut count = 0u64;
         for u in range {
@@ -75,7 +75,7 @@ impl Forward {
             let len_cell = DisjointSlice::new(&mut len);
             let off = &off;
             let rank = |s: usize| (topo.out_degree(s), s);
-            parallel_for(n, threads, |_, range| {
+            parallel_for(n, threads, Grain::PerThread, |_, range| {
                 for u in range {
                     // SAFETY: block `[off[u], off[u + 1])` and entry `u`
                     // belong to slot `u` alone, and chunks partition the
@@ -106,7 +106,7 @@ impl Forward {
 /// slot order. `sum(counts) == 3 * count_triangles(g)`.
 pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, u64)> {
     let n_slots = g.n_slots();
-    let parts = parallel_map(n_slots, threads, |range| {
+    let parts = parallel_map(n_slots, threads, Grain::PerThread, |_, range| {
         let mut out = Vec::new();
         for slot in range {
             let u = match g.slot_id(slot) {

@@ -9,7 +9,7 @@
 //! connected-components codes.
 
 use crate::components::Components;
-use ringo_concurrent::{parallel_for, IntHashTable};
+use ringo_concurrent::{parallel_for, Grain, IntHashTable};
 use ringo_graph::{DirectedTopology, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -100,7 +100,7 @@ pub fn weakly_connected_components_parallel<G: DirectedTopology>(
     let topo = g.topology();
     let n_slots = topo.n_slots();
     let uf = ConcurrentUnionFind::new(n_slots);
-    parallel_for(n_slots, threads, |_, range| {
+    parallel_for(n_slots, threads, Grain::PerThread, |_, range| {
         for slot in range {
             for &ns in topo.out_row(slot) {
                 uf.union(slot, ns as usize);
@@ -155,7 +155,7 @@ mod tests {
     fn concurrent_unions_form_one_chain_component() {
         let n = 20_000;
         let uf = ConcurrentUnionFind::new(n);
-        parallel_for(n - 1, 8, |_, range| {
+        parallel_for(n - 1, 8, Grain::PerThread, |_, range| {
             for i in range {
                 uf.union(i, i + 1);
             }

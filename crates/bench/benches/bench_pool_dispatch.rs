@@ -8,10 +8,16 @@
 //! (pool dispatch) against an equivalent region built on
 //! `std::thread::scope`, which spawns one OS thread per chunk per call.
 //!
+//! A second section times the dispatch cost of two region shapes with
+//! trivial bodies: an `Item`-grain region of 2048 pieces (the radix
+//! sorter's finish pass runs one piece per bucket) and a `Morsel`-grain
+//! region over 1M indices (16 morsels). Neither entry point reads a clock
+//! or takes a lock per piece, so these are pure scheduling costs.
+//!
 //! Results are printed and recorded in `BENCH_pool.json` at the workspace
 //! root.
 
-use ringo_core::concurrent::{num_threads, parallel_for, pool_stats};
+use ringo_core::concurrent::{num_threads, parallel_for, pool_stats, Grain};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -24,7 +30,7 @@ fn region_body(data: &[u64], sink: &AtomicU64, range: std::ops::Range<usize>) {
 
 /// One fork-join region through the persistent pool.
 fn pooled_call(data: &[u64], threads: usize, sink: &AtomicU64) {
-    parallel_for(data.len(), threads, |_, range| {
+    parallel_for(data.len(), threads, Grain::PerThread, |_, range| {
         region_body(data, sink, range);
     });
 }
@@ -89,6 +95,21 @@ fn main() {
     }
     std::hint::black_box(sink.into_inner());
 
+    println!("=== region shapes, trivial bodies ({threads} threads) ===");
+    let mut shapes = Vec::new();
+    for (shape, grain, len, iters) in [
+        ("item_2048", Grain::Item, 2048usize, 2_000usize),
+        ("morsel_1m", Grain::Morsel, 1 << 20, 2_000),
+    ] {
+        let ns = time_calls(iters, || {
+            parallel_for(len, threads, grain, |_, range| {
+                std::hint::black_box(range);
+            })
+        });
+        println!("{shape:>10}: {ns:>10.0} ns/region");
+        shapes.push((shape, len, iters, ns));
+    }
+
     let stats = pool_stats();
     assert!(
         stats.jobs_dispatched > 0,
@@ -117,6 +138,14 @@ fn main() {
             c.spawn_ns,
             c.spawn_ns / c.pooled_ns,
             if i + 1 < cases.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"regions\": [\n");
+    for (i, (shape, len, iters, ns)) in shapes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"shape\": \"{shape}\", \"len\": {len}, \"iters\": {iters}, \
+             \"ns_per_region\": {ns:.0}}}{}\n",
+            if i + 1 < shapes.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

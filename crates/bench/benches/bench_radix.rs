@@ -6,14 +6,16 @@
 //! standard library's sequential `sort_unstable`. R-MAT-skewed ids are
 //! the paper's workload; presorted and reversed inputs probe the
 //! comparison sorts' best cases. The end-to-end section measures
-//! `table_to_graph` (radix + slab fill) against the retained
-//! `table_to_graph_mergesort` pipeline in edges per second.
+//! `table_to_graph` (radix + slab fill) against the pre-radix
+//! `table_to_graph_mergesort` pipeline (kept in
+//! `ringo_bench::merge_sort`) in edges per second.
 //!
 //! Results are printed and recorded in `BENCH_radix.json` at the
 //! workspace root.
 
-use ringo_core::concurrent::{num_threads, parallel_sort, radix_sort_pairs};
-use ringo_core::convert::{table_to_graph, table_to_graph_mergesort};
+use ringo_bench::merge_sort::{parallel_sort, table_to_graph_mergesort};
+use ringo_core::concurrent::{num_threads, radix_sort_pairs};
+use ringo_core::convert::table_to_graph;
 use ringo_core::gen::{edges_to_table, rmat, RmatConfig};
 use std::io::Write;
 use std::time::Instant;

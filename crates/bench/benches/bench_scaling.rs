@@ -4,9 +4,9 @@
 //! design; on a small host the sweep still verifies that extra workers
 //! never corrupt results and that overhead stays bounded.
 
+use ringo_bench::merge_sort::parallel_sort;
 use ringo_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ringo_core::algo::{count_triangles, pagerank, PageRankConfig};
-use ringo_core::concurrent::parallel_sort;
 use ringo_core::convert::table_to_graph;
 use ringo_core::Ringo;
 

@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod merge_sort;
 
 pub use harness::{BatchSize, Bencher, BenchmarkGroup, BenchmarkId, Criterion};
 

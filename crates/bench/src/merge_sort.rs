@@ -1,18 +1,21 @@
-//! Parallel merge sort (general `Ord` keys).
+//! The merge-sort ablation baseline (`bench_radix`, `bench_scaling`).
 //!
-//! The "sort-first" table-to-graph conversion (paper §2.4) hinges on sorting
-//! the copied source/destination columns in parallel. We use a classic
-//! two-phase merge sort: sort one contiguous chunk per worker with the
-//! standard library's unstable sort, then merge pairs of runs in rounds,
-//! with the merges of one round running in parallel. One auxiliary buffer
-//! of the same length is ping-ponged against the input between rounds so
-//! data is moved, never reallocated.
+//! Before the radix sorter, the "sort-first" table-to-graph conversion
+//! (paper §2.4) sorted its copied edge columns with a parallel merge
+//! sort, built one `Vec` per node in the fill phase, and installed them
+//! through [`DirectedGraph::from_parts`]. No library path uses either any
+//! more; both live here so the benches can keep measuring what the radix
+//! path gained.
 //!
-//! This is the fallback for arbitrary `Ord` keys; integer-keyed sorts
-//! (node ids, edge pairs, `order_by` on int columns) route through the
-//! faster non-comparison [`crate::radix`] sorter instead.
+//! The sort is a classic two-phase merge sort: sort one contiguous chunk
+//! per worker with the standard library's unstable sort, then merge pairs
+//! of runs in rounds, with the merges of one round running in parallel.
+//! One auxiliary buffer of the same length is ping-ponged against the
+//! input between rounds so data is moved, never reallocated.
 
-use crate::parallel::{chunk_bounds, parallel_for, DisjointSlice};
+use ringo_concurrent::parallel::chunk_bounds;
+use ringo_concurrent::{parallel_for, parallel_map, DisjointSlice, Grain};
+use ringo_core::{DirectedGraph, NodeId, Table, TableError};
 
 /// Sorts `data` in ascending order using `threads` workers.
 ///
@@ -34,22 +37,21 @@ where
         data.sort_unstable_by_key(|a| key(a));
         return;
     }
-    let bounds = chunk_bounds(len, threads);
-    let runs = bounds.len() - 1;
-
     // Phase 1: sort each chunk independently.
-    parallel_for_sorted_chunks(data, &bounds, threads, &key);
-    if runs == 1 {
-        return;
+    let bounds = chunk_bounds(len, threads);
+    {
+        let cell = DisjointSlice::new(data);
+        parallel_for(len, threads, Grain::PerThread, |_, range| {
+            // SAFETY: per-thread chunks are disjoint index windows of `data`.
+            let chunk = unsafe { cell.slice_mut(range.start, range.end) };
+            chunk.sort_unstable_by_key(|a| key(a));
+        });
     }
 
     // Phase 2: merge pairs of adjacent runs, round by round, ping-ponging
-    // between `data` itself and ONE auxiliary buffer. (An earlier version
-    // copied the input into two fresh buffers — `src = data.to_vec()` plus
-    // `dst.extend_from_slice(data)` — doubling phase-2 memory for nothing:
-    // with correct parity tracking the input slice serves as one side of
-    // the ping-pong.) T: Copy makes the single clone a memcpy; its
-    // contents only matter for the trailing-unpaired-run copy-through.
+    // between `data` itself and ONE auxiliary buffer. T: Copy makes the
+    // clone a memcpy; its contents only matter for the
+    // trailing-unpaired-run copy-through.
     let mut aux: Vec<T> = data.to_vec();
     // True while the current runs live in `data` (merges write to `aux`).
     let mut in_data = true;
@@ -57,19 +59,10 @@ where
     let mut run_bounds = bounds;
     while run_bounds.len() > 2 {
         let pairs = (run_bounds.len() - 1) / 2;
-        let next_bounds: Vec<usize> = {
-            let mut nb = Vec::with_capacity(pairs + 2);
-            let mut i = 0;
-            nb.push(0);
-            while i + 2 < run_bounds.len() {
-                nb.push(run_bounds[i + 2]);
-                i += 2;
-            }
-            if i + 1 < run_bounds.len() && *nb.last().unwrap() != len {
-                nb.push(len);
-            }
-            nb
-        };
+        let mut next_bounds: Vec<usize> = run_bounds.iter().step_by(2).copied().collect();
+        if next_bounds.last() != Some(&len) {
+            next_bounds.push(len);
+        }
         {
             let (src_ref, dst_cell): (&[T], DisjointSlice<T>) = if in_data {
                 (&*data, DisjointSlice::new(&mut aux))
@@ -78,15 +71,11 @@ where
             };
             let rb = &run_bounds;
             let key = &key;
-            // `run_bounds.len() > 2` guarantees at least one full pair,
-            // and every pair index satisfies `2p + 2 <= run_bounds.len() - 1`,
+            // Every pair index satisfies `2p + 2 <= run_bounds.len() - 1`,
             // so the window bounds below never index past the slice.
-            debug_assert!(pairs >= 1);
-            parallel_for(pairs, threads, |_, pair_range| {
+            parallel_for(pairs, threads, Grain::PerThread, |_, pair_range| {
                 for p in pair_range {
-                    let lo = rb[2 * p];
-                    let mid = rb[2 * p + 1];
-                    let hi = rb[2 * p + 2];
+                    let (lo, mid, hi) = (rb[2 * p], rb[2 * p + 1], rb[2 * p + 2]);
                     // SAFETY: pairs own disjoint [lo, hi) output windows:
                     // `rb` is strictly increasing, so windows of distinct
                     // pair indices cannot overlap, and `hi <= len`.
@@ -110,22 +99,6 @@ where
     if !in_data {
         data.copy_from_slice(&aux);
     }
-}
-
-fn parallel_for_sorted_chunks<T, K, F>(data: &mut [T], bounds: &[usize], threads: usize, key: &F)
-where
-    T: Copy + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let cell = DisjointSlice::new(data);
-    parallel_for(bounds.len() - 1, threads, |_, chunk_range| {
-        for c in chunk_range {
-            // SAFETY: chunks are disjoint index windows of `data`.
-            let chunk = unsafe { cell.slice_mut(bounds[c], bounds[c + 1]) };
-            chunk.sort_unstable_by_key(|a| key(a));
-        }
-    });
 }
 
 fn merge_runs<T, K, F>(a: &[T], b: &[T], out: &mut [T], key: &F)
@@ -153,9 +126,90 @@ where
     }
 }
 
+/// Maximal runs of equal first elements in a sorted pair array, as
+/// `(id, start, end)`.
+fn runs(pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < pairs.len() {
+        let id = pairs[start].0;
+        let mut end = start + 1;
+        while end < pairs.len() && pairs[end].0 == id {
+            end += 1;
+        }
+        out.push((id, start, end));
+        start = end;
+    }
+    out
+}
+
+/// The pre-radix sort-first conversion, kept as the ablation baseline:
+/// parallel merge sort, per-node `Vec` allocation in the fill phase, and
+/// incremental hash-table installation via `from_parts`. Builds the same
+/// graph as `ringo_convert::table_to_graph`.
+pub fn table_to_graph_mergesort(
+    t: &Table,
+    src_col: &str,
+    dst_col: &str,
+) -> Result<DirectedGraph, TableError> {
+    let src = t.int_col(src_col)?;
+    let dst = t.int_col(dst_col)?;
+    let threads = t.threads();
+
+    let mut by_src: Vec<(NodeId, NodeId)> = src.iter().copied().zip(dst.iter().copied()).collect();
+    let mut by_dst: Vec<(NodeId, NodeId)> = dst.iter().copied().zip(src.iter().copied()).collect();
+    parallel_sort(&mut by_src, threads);
+    parallel_sort(&mut by_dst, threads);
+
+    // Merge the two run lists (both ascending by id) into the node list,
+    // remembering each node's run on either side.
+    let out_runs = runs(&by_src);
+    let in_runs = runs(&by_dst);
+    let mut nodes: Vec<(NodeId, Option<usize>, Option<usize>)> = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let o = out_runs.get(i).map(|r| r.0);
+        let n = in_runs.get(j).map(|r| r.0);
+        let Some(id) = o.into_iter().chain(n).min() else {
+            break;
+        };
+        let (orun, irun) = ((o == Some(id)).then_some(i), (n == Some(id)).then_some(j));
+        i += usize::from(orun.is_some());
+        j += usize::from(irun.is_some());
+        nodes.push((id, orun, irun));
+    }
+
+    let nbrs = |pairs: &[(NodeId, NodeId)], run: Option<(NodeId, usize, usize)>| {
+        let mut v: Vec<NodeId> = run
+            .map_or(&[][..], |(_, lo, hi)| &pairs[lo..hi])
+            .iter()
+            .map(|p| p.1)
+            .collect();
+        v.dedup();
+        v
+    };
+    type NodeParts = (NodeId, Vec<NodeId>, Vec<NodeId>);
+    let parts: Vec<Vec<NodeParts>> =
+        parallel_map(nodes.len(), threads, Grain::PerThread, |_, range| {
+            nodes[range]
+                .iter()
+                .map(|&(id, orun, irun)| {
+                    let out_nbrs = nbrs(&by_src, orun.map(|r| out_runs[r]));
+                    let in_nbrs = nbrs(&by_dst, irun.map(|r| in_runs[r]));
+                    (id, in_nbrs, out_nbrs)
+                })
+                .collect()
+        });
+    Ok(DirectedGraph::from_parts(
+        parts.into_iter().flatten().collect(),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringo_core::convert::table_to_graph;
+    use ringo_core::gen::{edges_to_table, rmat, RmatConfig};
     use ringo_rng::Rng64;
 
     fn check_sorted(threads: usize, len: usize, seed: u64) {
@@ -268,6 +322,65 @@ mod tests {
                 got.sort_unstable();
                 want.sort_unstable();
                 assert_eq!(got, want, "payload lost: len={len} threads={threads}");
+            }
+        }
+    }
+
+    /// Parallel sort agrees with the standard library for any input (a
+    /// seeded property loop: the failing case is in the message).
+    #[test]
+    fn parallel_sort_matches_std() {
+        for case in 0..64u64 {
+            // The per-case stream of the root property suite's `for_cases`.
+            let seed = "parallel_sort_matches_std"
+                .bytes()
+                .fold(case.wrapping_mul(0x9E37_79B9_7F4A_7C15), |h, b| {
+                    (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
+                });
+            let mut rng = Rng64::new(seed);
+            let len = rng.below(20_000);
+            let mut data: Vec<i64> = (0..len).map(|_| rng.i64()).collect();
+            let threads = rng.range_usize(1..6);
+            let mut expect = data.clone();
+            expect.sort_unstable();
+            parallel_sort(&mut data, threads);
+            assert_eq!(data, expect, "case={case} len={len} threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_sort_is_deterministic_across_thread_counts() {
+        let mut base: Vec<i64> = (0..300_000)
+            .map(|i: i64| (i.wrapping_mul(2_654_435_761)) % 10_000)
+            .collect();
+        let mut expect = base.clone();
+        expect.sort_unstable();
+        for threads in [2, 3, 5, 8] {
+            let mut data = base.clone();
+            parallel_sort(&mut data, threads);
+            assert_eq!(data, expect, "threads={threads}");
+        }
+        base.sort_unstable();
+        assert_eq!(base, expect);
+    }
+
+    #[test]
+    fn radix_path_matches_mergesort_path() {
+        let edges = rmat(&RmatConfig {
+            scale: 10,
+            edges: 8_000,
+            ..Default::default()
+        });
+        let mut t = edges_to_table(&edges);
+        for threads in [1usize, 2, 4] {
+            t.set_threads(threads);
+            let fast = table_to_graph(&t, "src", "dst").unwrap();
+            let old = table_to_graph_mergesort(&t, "src", "dst").unwrap();
+            assert_eq!(fast.node_count(), old.node_count());
+            assert_eq!(fast.edge_count(), old.edge_count());
+            for id in old.node_ids() {
+                assert_eq!(fast.out_nbrs(id), old.out_nbrs(id));
+                assert_eq!(fast.in_nbrs(id), old.in_nbrs(id));
             }
         }
     }

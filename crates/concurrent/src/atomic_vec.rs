@@ -135,7 +135,7 @@ impl<T> Drop for ConcurrentVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::parallel_for;
+    use crate::parallel::{parallel_for, Grain};
 
     #[test]
     fn push_and_into_vec_sequential() {
@@ -152,7 +152,7 @@ mod tests {
     fn parallel_pushes_land_exactly_once() {
         let n = 50_000usize;
         let v = ConcurrentVec::with_capacity(n);
-        parallel_for(n, 8, |_, range| {
+        parallel_for(n, 8, Grain::PerThread, |_, range| {
             for i in range {
                 v.push(i).expect("capacity sized exactly");
             }
@@ -228,7 +228,7 @@ mod tests {
             let v: ConcurrentVec<usize> = ConcurrentVec::with_capacity(capacity);
             let succeeded: Vec<AtomicBool> =
                 (0..attempts).map(|_| AtomicBool::new(false)).collect();
-            parallel_for(attempts, 16, |_, range| {
+            parallel_for(attempts, 16, Grain::PerThread, |_, range| {
                 for i in range {
                     if v.push(i).is_ok() {
                         succeeded[i].store(true, Ordering::Relaxed);

@@ -128,7 +128,7 @@ mod tests {
         let b = ConcurrentBitset::new(bits);
         // Every index claimed by 4 logical workers; total wins must be
         // exactly `bits`.
-        let wins: usize = crate::parallel_map(4 * bits, 4, |range| {
+        let wins: usize = crate::parallel_map(4 * bits, 4, crate::Grain::PerThread, |_, range| {
             range.filter(|i| b.set(i % bits)).count()
         })
         .into_iter()

@@ -339,7 +339,7 @@ impl ConcurrentIntTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::parallel_for;
+    use crate::parallel::{parallel_for, Grain};
     use ringo_rng::Rng64;
     use std::collections::HashMap;
 
@@ -464,7 +464,7 @@ mod tests {
         let n = 10_000i64;
         let t = ConcurrentIntTable::with_capacity(n as usize);
         // Each key inserted by multiple threads; final count must be exact.
-        parallel_for(4 * n as usize, 8, |_, range| {
+        parallel_for(4 * n as usize, 8, Grain::PerThread, |_, range| {
             for i in range {
                 t.insert((i as i64) % n);
             }

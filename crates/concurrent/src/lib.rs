@@ -10,11 +10,10 @@
 //!   process, so parallel regions cost a wakeup instead of OS thread
 //!   spawns, with [`pool::PoolStats`] counters for observability,
 //! * [`parallel`] — OpenMP-style loops on that pool
-//!   ([`parallel::parallel_for`], [`parallel::parallel_map`], reductions),
-//!   the moral equivalent of `#pragma omp parallel for` with static
-//!   scheduling,
-//! * [`sort`] — parallel merge sort built on the runtime, the fallback
-//!   for arbitrary `Ord` keys,
+//!   ([`parallel::parallel_for`], [`parallel::parallel_map`]): one
+//!   fork-join dispatcher, with the caller picking the partition
+//!   ([`parallel::Grain`]: a static chunk per thread as in
+//!   `#pragma omp parallel for`, fixed-size morsels, or single items),
 //! * [`radix`] — parallel LSD radix sort for integer keys (per-worker
 //!   histograms, digit skipping, stable scatter), the fast path behind
 //!   the "sort-first" table-to-graph conversion and integer `order_by`,
@@ -41,7 +40,6 @@ pub mod hash_table;
 pub mod parallel;
 pub mod pool;
 pub mod radix;
-pub mod sort;
 pub mod sync;
 
 pub use atomic_vec::ConcurrentVec;
@@ -49,12 +47,10 @@ pub use bitset::ConcurrentBitset;
 pub use epoch::{EpochDomain, EpochGuard, OwnedEpochGuard, Versioned};
 pub use hash_table::{ConcurrentIntTable, IntHashTable};
 pub use parallel::{
-    morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,
-    parallel_for_morsels, parallel_for_morsels_traced, parallel_map, parallel_map_morsels,
-    parallel_map_morsels_traced, parallel_reduce, DisjointSlice, MorselStats, DEFAULT_MORSEL_ROWS,
+    morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_map, parallel_map_timed,
+    DisjointSlice, Grain, MorselStats, DEFAULT_MORSEL_ROWS,
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
     f64_key, i64_key, radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64,
 };
-pub use sort::{parallel_sort, parallel_sort_by_key};

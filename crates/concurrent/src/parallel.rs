@@ -1,21 +1,41 @@
 //! OpenMP-style fork-join parallel loops on the persistent worker pool.
 //!
-//! Ringo parallelizes its critical loops with a handful of OpenMP pragmas
-//! using static scheduling: an index range is cut into one contiguous chunk
-//! per worker and each worker processes its chunk independently. These
-//! helpers reproduce that model on top of [`crate::pool::Pool`], a
-//! long-lived worker team created once per process — so a `parallel_for`
-//! inside a table operator or a PageRank iteration costs a condvar wake,
-//! not `threads` OS thread creations, exactly the amortization the paper's
-//! interactivity numbers assume. Closures may still borrow from the
-//! caller's stack like an OpenMP parallel region: every entry point blocks
-//! until its last chunk finishes.
+//! Ringo parallelizes its critical loops with a handful of OpenMP pragmas.
+//! Here every such region is one fork-join loop on [`crate::pool::Pool`],
+//! a long-lived worker team created once per process: `0..len` is cut
+//! into pieces, the workers and the calling thread claim pieces from the
+//! pool's shared counter, and the call returns once every piece has run.
+//! A region inside a table operator or a PageRank iteration therefore
+//! costs a condvar wake, not `threads` OS thread creations, and closures
+//! may borrow from the caller's stack like an OpenMP parallel region.
+//!
+//! Regions differ only in how `0..len` is cut, which the caller picks
+//! with a [`Grain`]:
+//!
+//! * [`Grain::PerThread`] — one contiguous chunk per worker
+//!   ([`chunk_bounds`]), OpenMP's `schedule(static)`;
+//! * [`Grain::Morsel`] — fixed-size morsels ([`morsel_bounds`]) whose
+//!   boundaries do not depend on the thread count, so per-piece results
+//!   (and float sums folded from them in piece order) are bit-identical
+//!   at every thread count, and a slow morsel does not hold up the rest;
+//! * [`Grain::Item`] — one piece per index, for a few heterogeneous items
+//!   (skewed radix buckets) that a contiguous split would serialize.
+//!
+//! [`parallel_for`] and [`parallel_map`] take the grain as an argument.
+//! [`parallel_map_timed`] runs morsels and also times every piece,
+//! optionally wraps it in a trace span, and reports [`MorselStats`];
+//! [`parallel_for_each_chunk_mut`] hands each worker its chunk of a
+//! mutable slice. Only the timed entry point adds anything per piece
+//! beyond the body. All four run through one private dispatcher, which
+//! runs the pieces inline and in order when `threads <= 1` or there is a
+//! single piece.
 //!
 //! All entry points take an explicit thread count so benchmarks can sweep
 //! it; [`num_threads`] supplies a default honoring the `RINGO_THREADS`
 //! environment variable.
 
 use crate::pool::Pool;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Default worker count: `RINGO_THREADS` if set and positive, otherwise the
@@ -45,8 +65,10 @@ pub fn num_threads() -> usize {
 }
 
 /// Splits `len` items into at most `threads` contiguous chunks of nearly
-/// equal size. Returns the chunk boundaries; consecutive boundaries delimit
-/// one chunk. Never returns empty chunks.
+/// equal size (the first `len % threads` chunks are one longer). Returns
+/// the chunk boundaries; consecutive boundaries delimit one chunk. No
+/// chunk is empty, except that `len == 0` gives the one empty chunk
+/// `[0, 0]`.
 pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
     let threads = threads.max(1).min(len.max(1));
     let base = len / threads;
@@ -59,96 +81,6 @@ pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
         bounds.push(pos);
     }
     bounds
-}
-
-/// Runs `body(chunk_index, index_range)` over `0..len` split statically
-/// across `threads` workers of the process-wide pool. Equivalent to
-/// `#pragma omp parallel for schedule(static)`.
-///
-/// With `threads <= 1` (or a single chunk) the body runs on the calling
-/// thread, so the function is cheap to call for small inputs.
-///
-/// ```
-/// use ringo_concurrent::{parallel_for, parallel_reduce};
-/// use std::sync::atomic::{AtomicU64, Ordering};
-///
-/// let data: Vec<u64> = (0..10_000).collect();
-/// let sum = AtomicU64::new(0);
-/// parallel_for(data.len(), 4, |_worker, range| {
-///     let local: u64 = range.map(|i| data[i]).sum();
-///     sum.fetch_add(local, Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.into_inner(), 10_000 * 9_999 / 2);
-///
-/// // Or without shared state, via a reduction:
-/// let total = parallel_reduce(
-///     data.len(), 4, 0u64,
-///     |range| range.map(|i| data[i]).sum::<u64>(),
-///     |a, b| a + b,
-/// );
-/// assert_eq!(total, 10_000 * 9_999 / 2);
-/// ```
-pub fn parallel_for<F>(len: usize, threads: usize, body: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let bounds = chunk_bounds(len, threads);
-    let chunks = bounds.len() - 1;
-    if chunks <= 1 {
-        body(0, 0..len);
-        return;
-    }
-    Pool::global().run(chunks, &|t| body(t, bounds[t]..bounds[t + 1]));
-}
-
-/// Runs `body(index_range)` per chunk and collects one result per chunk, in
-/// chunk order. The workhorse for "each thread produces a partial result,
-/// the caller combines them" patterns (histograms, partial sums, partial
-/// output buffers).
-pub fn parallel_map<T, F>(len: usize, threads: usize, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let bounds = chunk_bounds(len, threads);
-    let chunks = bounds.len() - 1;
-    if chunks <= 1 {
-        return vec![body(0..len)];
-    }
-    // One slot per chunk; each chunk writes only its own index, so a plain
-    // mutex around the whole vector would serialize nothing of consequence
-    // (chunks ≤ threads writes total) — but std::sync::Mutex per write is
-    // still avoidable: slots are disjoint, use the same erased-window trick
-    // as the sorter.
-    let mut slots: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
-    {
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        Pool::global().run(chunks, &|t| {
-            let result = body(bounds[t]..bounds[t + 1]);
-            // SAFETY: chunk `t` exclusively owns slot `t`; the vector
-            // outlives the blocking `run` call.
-            unsafe { *slots_ptr.get().add(t) = Some(result) };
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk fills its slot"))
-        .collect()
-}
-
-/// Parallel reduction: maps each chunk with `body`, then folds the partial
-/// results with `combine` starting from `init`. The reduction order over
-/// chunks is deterministic (chunk 0 first), so floating-point reductions
-/// are reproducible for a fixed thread count.
-pub fn parallel_reduce<T, F, C>(len: usize, threads: usize, init: T, body: F, combine: C) -> T
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    parallel_map(len, threads, body)
-        .into_iter()
-        .fold(init, combine)
 }
 
 /// Default rows per morsel for morsel-driven operators: small enough that
@@ -177,11 +109,9 @@ pub fn morsel_rows() -> usize {
 }
 
 /// Splits `0..len` into fixed-size morsels of [`morsel_rows`] rows (the
-/// last morsel may be short). Returns morsel boundaries like
-/// [`chunk_bounds`]. Unlike `chunk_bounds`, the partition depends only on
-/// `len` — **never** on the thread count — which is what lets
-/// morsel-driven operators produce bit-identical results (including
-/// float accumulation order) at every thread count.
+/// last morsel may be short; `len == 0` gives one empty morsel). Returns
+/// morsel boundaries like [`chunk_bounds`], but the partition depends
+/// only on `len` — **never** on the thread count.
 pub fn morsel_bounds(len: usize) -> Vec<usize> {
     let m = morsel_rows();
     let n = len.div_ceil(m).max(1);
@@ -191,6 +121,101 @@ pub fn morsel_bounds(len: usize) -> Vec<usize> {
     }
     bounds.push(len);
     bounds
+}
+
+/// How a parallel region cuts `0..len` into pieces (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Grain {
+    /// One contiguous chunk per worker: [`chunk_bounds`].
+    PerThread,
+    /// Fixed-size morsels, independent of the thread count: [`morsel_bounds`].
+    Morsel,
+    /// One piece per index (`len == 0` gives no pieces).
+    Item,
+}
+
+impl Grain {
+    /// Piece boundaries of `0..len`; consecutive entries delimit a piece.
+    fn bounds(self, len: usize, threads: usize) -> Vec<usize> {
+        match self {
+            Grain::PerThread => chunk_bounds(len, threads),
+            Grain::Morsel => morsel_bounds(len),
+            Grain::Item => (0..=len).collect(),
+        }
+    }
+}
+
+/// The one parallel loop: runs `body(p, bounds[p]..bounds[p + 1])` for
+/// every piece `p` and returns the results in piece order. With
+/// `threads <= 1` or a single piece the pieces run inline, in order, and
+/// the pool sees no job; otherwise they are claimed from the pool.
+fn dispatch<T, F>(bounds: &[usize], threads: usize, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> T + Sync,
+{
+    let pieces = bounds.len() - 1;
+    let piece = |p: usize| body(p, bounds[p]..bounds[p + 1]);
+    if threads <= 1 || pieces <= 1 {
+        return (0..pieces).map(piece).collect();
+    }
+    // Uninitialized slots: for `T = ()` (every `parallel_for`) they take
+    // no memory, so pieces neither allocate nor write a shared cache line.
+    let mut slots: Vec<MaybeUninit<T>> = (0..pieces).map(|_| MaybeUninit::uninit()).collect();
+    let cell = DisjointSlice::new(&mut slots);
+    Pool::global().run(pieces, &|p| {
+        let result = piece(p);
+        // SAFETY: piece `p` exclusively owns slot `p`; the vector outlives
+        // the blocking `run`.
+        unsafe { cell.write(p, MaybeUninit::new(result)) };
+    });
+    slots
+        .into_iter()
+        // SAFETY: `run` returned normally, so every piece ran and filled
+        // its slot (a panicking piece unwinds out of `run`, leaking the
+        // filled slots instead).
+        .map(|s| unsafe { s.assume_init() })
+        .collect()
+}
+
+/// Runs `body(piece_index, index_range)` over `0..len` cut by `grain`.
+/// `Grain::PerThread` is `#pragma omp parallel for schedule(static)`.
+///
+/// ```
+/// use ringo_concurrent::{parallel_for, parallel_map, Grain};
+/// use std::sync::atomic::{AtomicU64, Ordering};
+///
+/// let data: Vec<u64> = (0..10_000).collect();
+/// let sum = AtomicU64::new(0);
+/// parallel_for(data.len(), 4, Grain::PerThread, |_chunk, range| {
+///     let local: u64 = range.map(|i| data[i]).sum();
+///     sum.fetch_add(local, Ordering::Relaxed);
+/// });
+/// assert_eq!(sum.into_inner(), 10_000 * 9_999 / 2);
+///
+/// // Or without shared state: partial sums in piece order.
+/// let parts = parallel_map(data.len(), 4, Grain::Morsel, |_, range| {
+///     range.map(|i| data[i]).sum::<u64>()
+/// });
+/// assert_eq!(parts.iter().sum::<u64>(), 10_000 * 9_999 / 2);
+/// ```
+pub fn parallel_for<F>(len: usize, threads: usize, grain: Grain, body: F)
+where
+    F: Fn(usize, Range<usize>) + Sync,
+{
+    dispatch(&grain.bounds(len, threads), threads, body);
+}
+
+/// Runs `body(piece_index, index_range)` per piece and collects one
+/// result per piece, in piece order: the "each piece produces a partial
+/// result, the caller combines them" pattern (histograms, partial sums,
+/// partial output buffers).
+pub fn parallel_map<T, F>(len: usize, threads: usize, grain: Grain, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> T + Sync,
+{
+    dispatch(&grain.bounds(len, threads), threads, body)
 }
 
 /// How a morsel-driven dispatch actually ran: how many morsels the index
@@ -211,76 +236,15 @@ pub struct MorselStats {
     pub busy_ns: Vec<u64>,
 }
 
-/// Runs `body(morsel_index, index_range)` over `0..len` split into
-/// fixed-size morsels (see [`morsel_bounds`]) and collects one result per
-/// morsel, **in morsel order**. Morsels are claimed dynamically from the
-/// pool's shared counter, so a worker stuck on an expensive morsel does
-/// not hold up the rest — the morsel-driven scheduling discipline, in
-/// contrast to [`parallel_map`]'s static one-chunk-per-worker split.
-///
-/// With `threads <= 1` the morsels run inline on the calling thread, in
-/// order — the *same* per-morsel partition, so partial results (and any
-/// float accumulation order derived from them) are identical at every
-/// thread count.
-pub fn parallel_map_morsels<T, F>(len: usize, threads: usize, body: F) -> (Vec<T>, MorselStats)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    morsel_dispatch(None, len, threads, body)
-}
-
-/// [`parallel_map_morsels`] with flight-recorder attribution: every morsel
-/// body runs inside a trace span named `span` (rows-in = morsel length),
-/// recorded into the executing thread's per-thread event buffer. On the
-/// dispatching thread the morsel spans nest under the caller's open
-/// operator span; on pool workers they are that thread's top-level slices
-/// — which is how the Chrome export reconstructs per-worker timelines.
-pub fn parallel_map_morsels_traced<T, F>(
-    span: &'static str,
-    len: usize,
-    threads: usize,
-    body: F,
-) -> (Vec<T>, MorselStats)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    morsel_dispatch(Some(span), len, threads, body)
-}
-
-/// [`parallel_map_morsels`] without per-morsel results: runs
-/// `body(morsel_index, index_range)` for every morsel, dynamically
-/// scheduled. Callers that write output do so through disjoint windows
-/// (per-morsel offsets), exactly like the static [`parallel_for`] users.
-pub fn parallel_for_morsels<F>(len: usize, threads: usize, body: F) -> MorselStats
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let (_, stats) = parallel_map_morsels(len, threads, body);
-    stats
-}
-
-/// [`parallel_for_morsels`] with flight-recorder attribution; see
-/// [`parallel_map_morsels_traced`].
-pub fn parallel_for_morsels_traced<F>(
-    span: &'static str,
-    len: usize,
-    threads: usize,
-    body: F,
-) -> MorselStats
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let (_, stats) = parallel_map_morsels_traced(span, len, threads, body);
-    stats
-}
-
-/// Shared implementation of the morsel dispatchers: splits `0..len` into
-/// fixed-size morsels, runs them (inline or dynamically claimed on the
-/// pool), optionally wraps each body in a trace span, and accounts busy
-/// nanoseconds per executing thread for [`MorselStats::busy_ns`].
-fn morsel_dispatch<T, F>(
+/// [`parallel_map`] over [`Grain::Morsel`] that also reports how the
+/// region ran: the morsel-driven operators' entry point. Every morsel is
+/// timed and, with `span = Some(name)`, runs inside a flight-recorder
+/// span `name` (rows-in = morsel length), recorded into the executing
+/// thread's event buffer: on the dispatching thread the spans nest under
+/// the caller's open operator span, on pool workers they are that
+/// thread's top-level slices, which is how the Chrome export rebuilds
+/// per-worker timelines.
+pub fn parallel_map_timed<T, F>(
     span: Option<&'static str>,
     len: usize,
     threads: usize,
@@ -290,117 +254,57 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let bounds = morsel_bounds(len);
-    let morsels = bounds.len() - 1;
-    let timed = |m: usize| -> (T, u64) {
-        let range = bounds[m]..bounds[m + 1];
+    let timed = parallel_map(len, threads, Grain::Morsel, |p, range| {
         let started = std::time::Instant::now();
         let out = match span {
             Some(name) => {
                 let mut sp = ringo_trace::Span::enter(name);
                 sp.rows_in(range.len());
-                body(m, range)
+                body(p, range)
             }
-            None => body(m, range),
+            None => body(p, range),
         };
-        (out, started.elapsed().as_nanos() as u64)
-    };
-    if threads <= 1 || morsels <= 1 {
-        let mut busy = 0u64;
-        let out = (0..morsels)
-            .map(|m| {
-                let (v, ns) = timed(m);
-                busy += ns;
-                v
-            })
-            .collect();
-        return (
-            out,
-            MorselStats {
-                morsels: morsels as u32,
-                workers: 1,
-                busy_ns: vec![busy],
-            },
-        );
-    }
-    let mut slots: Vec<Option<T>> = (0..morsels).map(|_| None).collect();
-    let workers: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, u64>> =
-        std::sync::Mutex::new(std::collections::HashMap::new());
-    {
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        Pool::global().run(morsels, &|m| {
-            let (result, ns) = timed(m);
-            *workers
-                .lock()
-                .expect("morsel worker set poisoned")
-                .entry(std::thread::current().id())
-                .or_insert(0) += ns;
-            // SAFETY: morsel `m` exclusively owns slot `m`; the vector
-            // outlives the blocking `run` call.
-            unsafe { *slots_ptr.get().add(m) = Some(result) };
-        });
-    }
-    let mut busy_ns: Vec<u64> = workers
-        .into_inner()
-        .expect("morsel worker set poisoned")
-        .into_values()
-        .collect();
-    busy_ns.sort_unstable_by(|a, b| b.cmp(a));
-    let distinct = busy_ns.len();
-    (
-        slots
-            .into_iter()
-            .map(|s| s.expect("every morsel fills its slot"))
-            .collect(),
-        MorselStats {
-            morsels: morsels as u32,
-            workers: distinct as u32,
-            busy_ns,
-        },
-    )
-}
-
-/// Runs `body(i)` for every `i` in `0..items` with items claimed
-/// dynamically from the pool's shared counter — load balancing for
-/// heterogeneous work items (e.g. skewed radix buckets) where a static
-/// contiguous split would serialize behind the biggest item.
-pub fn parallel_for_dynamic<F>(items: usize, threads: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if threads <= 1 || items <= 1 {
-        for i in 0..items {
-            body(i);
+        let ns = started.elapsed().as_nanos() as u64;
+        (out, std::thread::current().id(), ns)
+    });
+    let morsels = timed.len() as u32;
+    let mut per_thread: Vec<(std::thread::ThreadId, u64)> = Vec::new();
+    let mut out = Vec::with_capacity(timed.len());
+    for (value, id, ns) in timed {
+        match per_thread.iter_mut().find(|(t, _)| *t == id) {
+            Some((_, busy)) => *busy += ns,
+            None => per_thread.push((id, ns)),
         }
-        return;
+        out.push(value);
     }
-    Pool::global().run(items, &|i| body(i));
+    let mut busy_ns: Vec<u64> = per_thread.into_iter().map(|(_, ns)| ns).collect();
+    busy_ns.sort_unstable_by(|a, b| b.cmp(a));
+    let workers = busy_ns.len() as u32;
+    let stats = MorselStats {
+        morsels,
+        workers,
+        busy_ns,
+    };
+    (out, stats)
 }
 
-/// Applies `body(chunk_index, chunk_start, chunk)` to disjoint mutable
-/// chunks of `data`, one chunk per worker. This is the write-side
-/// counterpart of [`parallel_for`]: threads share nothing, so no locking is
-/// needed — the pattern Ringo uses for graph-to-table export where each
-/// thread owns a pre-assigned partition of the output table.
+/// Applies `body(chunk_index, chunk_start, chunk)` to the disjoint
+/// mutable [`Grain::PerThread`] chunks of `data`: the write-side
+/// counterpart of [`parallel_for`]. Chunks share nothing, so no locking
+/// is needed — the pattern Ringo uses wherever each worker owns a
+/// pre-assigned partition of an output array.
 pub fn parallel_for_each_chunk_mut<T, F>(data: &mut [T], threads: usize, body: F)
 where
     T: Send,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
     let len = data.len();
-    let bounds = chunk_bounds(len, threads);
-    let chunks = bounds.len() - 1;
-    if chunks <= 1 {
-        body(0, 0, data);
-        return;
-    }
-    let base = SendPtr(data.as_mut_ptr());
-    Pool::global().run(chunks, &|t| {
-        let (lo, hi) = (bounds[t], bounds[t + 1]);
-        // SAFETY: `[lo, hi)` windows are pairwise disjoint across chunks
-        // and in-bounds; `data` outlives the blocking `run` call.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-        body(t, lo, chunk);
+    let cell = DisjointSlice::new(data);
+    parallel_for(len, threads, Grain::PerThread, |t, range| {
+        // SAFETY: chunks are pairwise disjoint in-bounds windows, and
+        // `data` stays borrowed until the region returns.
+        let chunk = unsafe { cell.slice_mut(range.start, range.end) };
+        body(t, range.start, chunk);
     });
 }
 
@@ -408,10 +312,10 @@ where
 /// index windows. This is the one aliasing escape hatch of the parallel
 /// runtime: the unsafe surface is confined to [`DisjointSlice::slice_mut`]
 /// and [`DisjointSlice::write`], whose callers must guarantee that no index
-/// is written concurrently from two workers. Used by the merge sorter
-/// (disjoint output windows per merged pair), the radix sorter (scatter
-/// cursors partition the output), and the conversion fill phase (disjoint
-/// slab ranges per node).
+/// is written concurrently from two workers. Used by the dispatcher (one
+/// result slot per piece), [`parallel_for_each_chunk_mut`], the radix
+/// sorter (scatter cursors partition the output), and the conversion fill
+/// phase (disjoint slab ranges per node).
 pub struct DisjointSlice<T> {
     ptr: *mut T,
     len: usize,
@@ -454,26 +358,40 @@ impl<T> DisjointSlice<T> {
     }
 }
 
-/// A raw pointer that may cross thread boundaries. Callers must uphold the
-/// usual aliasing rules themselves (disjoint writes per chunk). Accessed
-/// through [`SendPtr::get`] so closures capture the whole wrapper (edition
-/// 2021 disjoint capture would otherwise grab the bare non-`Sync` field).
-struct SendPtr<T>(*mut T);
-
-// SAFETY: the wrapper only makes the pointer *transferable*; every
-// dereference site upholds disjointness itself (see struct docs).
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::pool::pool_stats;
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    const GRAINS: [Grain; 3] = [Grain::PerThread, Grain::Morsel, Grain::Item];
+    const LENS: [usize; 7] = [0, 1, 2, 65_535, 65_536, 65_537, 200_003];
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    /// `chunk_bounds(len, threads)` over the test grid, pinned as literals.
+    fn pinned_chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
+        match (len, threads) {
+            (0, _) => vec![0, 0],
+            (1, _) => vec![0, 1],
+            (len, 1) => vec![0, len],
+            (2, _) => vec![0, 1, 2],
+            (65535, 2) => vec![0, 32768, 65535],
+            (65535, 3) => vec![0, 21845, 43690, 65535],
+            (65535, 8) => vec![0, 8192, 16384, 24576, 32768, 40960, 49152, 57344, 65535],
+            (65536, 2) => vec![0, 32768, 65536],
+            (65536, 3) => vec![0, 21846, 43691, 65536],
+            (65536, 8) => vec![0, 8192, 16384, 24576, 32768, 40960, 49152, 57344, 65536],
+            (65537, 2) => vec![0, 32769, 65537],
+            (65537, 3) => vec![0, 21846, 43692, 65537],
+            (65537, 8) => vec![0, 8193, 16385, 24577, 32769, 40961, 49153, 57345, 65537],
+            (200003, 2) => vec![0, 100002, 200003],
+            (200003, 3) => vec![0, 66668, 133336, 200003],
+            (200003, 8) => vec![
+                0, 25001, 50002, 75003, 100003, 125003, 150003, 175003, 200003,
+            ],
+            _ => unreachable!("({len}, {threads}) is not on the test grid"),
+        }
+    }
 
     #[test]
     fn chunk_bounds_cover_range_exactly() {
@@ -493,52 +411,115 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_touches_every_index_once() {
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, 4, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+    fn pieces_cover_the_range_once_in_order_for_every_grain() {
+        for grain in GRAINS {
+            for len in LENS {
+                for threads in THREADS {
+                    let what = format!("{grain:?} len={len} threads={threads}");
+                    let hits: Vec<AtomicU8> = (0..len).map(|_| AtomicU8::new(0)).collect();
+                    let pieces = parallel_map(len, threads, grain, |p, range| {
+                        for i in range.clone() {
+                            // ORDERING: Relaxed — a per-index tally read
+                            // after the region's join.
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                        (p, range)
+                    });
+                    let mut bounds = vec![0];
+                    for (k, (p, range)) in pieces.into_iter().enumerate() {
+                        assert_eq!(p, k, "{what}: results in piece order");
+                        assert_eq!(Some(&range.start), bounds.last(), "{what}: contiguous");
+                        bounds.push(range.end);
+                    }
+                    // ORDERING: Relaxed — read after the region's join.
+                    assert!(
+                        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                        "{what}"
+                    );
+                    let want = match grain {
+                        Grain::PerThread => pinned_chunk_bounds(len, threads),
+                        Grain::Morsel => morsel_bounds(len),
+                        Grain::Item => (0..=len).collect(),
+                    };
+                    assert_eq!(bounds, want, "{what}: bounds");
+                }
             }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn a_panic_propagates_from_every_grain() {
+        for grain in GRAINS {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_for(200_003, 4, grain, |_, range| {
+                    if range.contains(&100_000) {
+                        panic!("piece fails");
+                    }
+                });
+            });
+            assert!(caught.is_err(), "{grain:?}");
+        }
+    }
+
+    /// Runs `region` until one run leaves the global job counter
+    /// unchanged. Sibling tests share the pool, so a nonzero delta may be
+    /// theirs; the counter never decreases, so one zero delta proves the
+    /// region dispatched nothing.
+    fn dispatches_no_job(region: impl Fn()) -> bool {
+        (0..10_000).any(|_| {
+            let before = pool_stats().jobs_dispatched;
+            region();
+            let quiet = pool_stats().jobs_dispatched == before;
+            if !quiet {
+                std::thread::yield_now();
+            }
+            quiet
+        })
+    }
+
+    #[test]
+    fn one_piece_and_one_thread_regions_dispatch_no_jobs() {
+        for grain in GRAINS {
+            for len in LENS {
+                let region = || parallel_for(len, 1, grain, |_, _| {});
+                assert!(dispatches_no_job(region), "{grain:?} len={len} threads=1");
+            }
+            let region = || parallel_for(1, 8, grain, |_, _| {});
+            assert!(dispatches_no_job(region), "{grain:?}: one piece");
+        }
+        let one_morsel = morsel_rows();
+        let region = || parallel_for(one_morsel, 8, Grain::Morsel, |_, _| {});
+        assert!(dispatches_no_job(region), "one full morsel");
+        // Control: two pieces on two threads always reach the pool.
+        let before = pool_stats().jobs_dispatched;
+        parallel_for(2, 2, Grain::Item, |_, _| {});
+        assert!(pool_stats().jobs_dispatched > before);
     }
 
     #[test]
     fn parallel_for_single_thread_runs_inline() {
-        let mut sum = 0u64;
-        // With threads=1 the closure runs on this thread, so a non-Sync
-        // mutation through a cell is safe; use a plain loop to check range.
-        parallel_for(5, 1, |tid, range| {
+        let caller = std::thread::current().id();
+        parallel_for(5, 1, Grain::PerThread, |tid, range| {
             assert_eq!(tid, 0);
             assert_eq!(range, 0..5);
+            assert_eq!(std::thread::current().id(), caller);
         });
-        for i in 0..5u64 {
-            sum += i;
-        }
-        assert_eq!(sum, 10);
     }
 
     #[test]
-    fn parallel_map_preserves_chunk_order() {
-        let parts = parallel_map(100, 4, |range| range.start);
-        let mut sorted = parts.clone();
-        sorted.sort_unstable();
-        assert_eq!(parts, sorted);
-        assert_eq!(parts.len(), 4);
-    }
-
-    #[test]
-    fn parallel_reduce_sums_correctly() {
-        let data: Vec<u64> = (0..100_000).collect();
-        let total = parallel_reduce(
-            data.len(),
-            8,
-            0u64,
-            |range| range.map(|i| data[i]).sum::<u64>(),
-            |a, b| a + b,
+    fn timed_region_reports_pieces_and_workers() {
+        let (out, stats) = parallel_map_timed(None, 200_003, 4, |p, _| p);
+        assert_eq!(
+            out,
+            (0..morsel_bounds(200_003).len() - 1).collect::<Vec<_>>()
         );
-        assert_eq!(total, 100_000 * 99_999 / 2);
+        assert_eq!(stats.morsels as usize, out.len());
+        assert_eq!(stats.workers as usize, stats.busy_ns.len());
+        assert!(stats.workers >= 1);
+        assert!(stats.busy_ns.windows(2).all(|w| w[0] >= w[1]));
+        let (_, inline) = parallel_map_timed(None, 200_003, 1, |_, _| ());
+        assert_eq!((inline.morsels as usize, inline.workers), (out.len(), 1));
+        assert_eq!(inline.busy_ns.len(), 1);
     }
 
     #[test]
@@ -552,36 +533,5 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i);
         }
-    }
-
-    #[test]
-    fn zero_length_is_a_noop() {
-        parallel_for(0, 4, |_, range| assert!(range.is_empty()));
-        let parts = parallel_map(0, 4, |range| range.len());
-        assert_eq!(parts, vec![0]);
-    }
-
-    #[test]
-    fn more_threads_than_items_does_not_panic() {
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(3, 16, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_map_propagates_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map(1000, 4, |range| {
-                if range.start == 0 {
-                    panic!("first chunk fails");
-                }
-                range.len()
-            })
-        });
-        assert!(caught.is_err());
     }
 }

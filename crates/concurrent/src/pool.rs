@@ -10,16 +10,16 @@
 //! [`Pool::run`] dispatches one fork-join job onto it and returns when
 //! every chunk of the job has executed.
 //!
-//! Scheduling is static in the OpenMP `schedule(static)` sense: the caller
-//! pre-partitions its index space into contiguous chunks (one per
-//! requested worker, see [`crate::parallel::chunk_bounds`]) and the pool
-//! never re-splits them. Which physical worker executes which chunk is
-//! first-come — workers claim chunk indices from a shared atomic counter —
-//! so a job asking for more parallelism than the pool has workers still
-//! completes, and nested `run` calls issued from inside a worker cannot
-//! deadlock: the dispatching thread always participates in executing its
-//! own job, so every job drains even if all pool workers are busy
-//! elsewhere.
+//! The pool never splits work itself: a job is `chunks` calls of one
+//! body, and the caller decides what a chunk is (the dispatcher in
+//! [`crate::parallel`] cuts the index space by a [`Grain`]: one chunk per
+//! thread, fixed-size morsels, or single items). Which physical worker
+//! executes which chunk is first-come — workers claim chunk indices from
+//! a shared atomic counter — so a job asking for more parallelism than
+//! the pool has workers still completes, and nested `run` calls issued
+//! from inside a worker cannot deadlock: the dispatching thread always
+//! participates in executing its own job, so every job drains even if all
+//! pool workers are busy elsewhere.
 //!
 //! Panics inside a chunk are caught, the remaining chunks still run (the
 //! fork-join contract: the region completes), and the first panic payload
@@ -28,6 +28,7 @@
 //! spawns.
 //!
 //! [`num_threads`]: crate::parallel::num_threads
+//! [`Grain`]: crate::parallel::Grain
 
 use crate::sync::VAtomicU64;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -141,8 +142,8 @@ pub struct PoolStats {
 /// A persistent team of worker threads executing fork-join jobs.
 ///
 /// Most code should not construct one: [`Pool::global`] returns the lazily
-/// created process-wide instance that all `parallel_*` helpers dispatch
-/// to. Dedicated instances (e.g. [`Pool::with_workers`]) exist for tests
+/// created process-wide instance that the [`crate::parallel`] regions
+/// dispatch to. Dedicated instances (e.g. [`Pool::with_workers`]) exist for tests
 /// and benchmarks that need a pool of known size.
 pub struct Pool {
     shared: Arc<Shared>,
@@ -431,9 +432,10 @@ mod tests {
         let total = AtomicUsize::new(0);
         // Saturate the pool with outer chunks that each dispatch an inner
         // job; dispatcher participation guarantees the inner jobs drain.
-        crate::parallel::parallel_for(8, 8, |_, outer| {
+        use crate::parallel::{parallel_for, Grain};
+        parallel_for(8, 8, Grain::PerThread, |_, outer| {
             for _ in outer {
-                crate::parallel::parallel_for(16, 4, |_, inner| {
+                parallel_for(16, 4, Grain::PerThread, |_, inner| {
                     total.fetch_add(inner.len(), Ordering::Relaxed);
                 });
             }

@@ -54,9 +54,7 @@
 //! library sort, where radix setup (histograms + aux buffer) would
 //! dominate.
 
-use crate::parallel::{
-    chunk_bounds, parallel_for, parallel_for_dynamic, parallel_map, DisjointSlice,
-};
+use crate::parallel::{chunk_bounds, parallel_for, parallel_map, DisjointSlice, Grain};
 
 /// Inputs shorter than this use the standard library sort instead of the
 /// radix machinery (aux buffer + `workers × 8 × 256` histogram setup).
@@ -138,7 +136,7 @@ pub fn radix_sort_i64(data: &mut [i64], threads: usize) {
         unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut u64, len) };
     let flip = |bits: &mut [u64]| {
         let cell = DisjointSlice::new(bits);
-        parallel_for(len, threads, |_, range| {
+        parallel_for(len, threads, Grain::PerThread, |_, range| {
             // SAFETY: chunk ranges are disjoint.
             let chunk = unsafe { cell.slice_mut(range.start, range.end) };
             for x in chunk {
@@ -225,21 +223,22 @@ pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
         let bucket_bits = DIGIT_BITS_V.min(total_bits);
         let (s_mask, d_mask) = (mask_of(bits_s), mask_of(bits_d));
         let (bs, bd, down) = (bits_s, bits_d, (total_bits - bucket_bits) as u32);
-        let per: Vec<(Vec<u32>, [u64; 4])> = parallel_map(len, threads, |range| {
-            let mut h = vec![0u32; 1 << bucket_bits];
-            let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
-            for i in range {
-                let (s, d) = data[i];
-                let (sk, dk) = (i64_key(s), i64_key(d));
-                s_or |= sk;
-                s_and &= sk;
-                d_or |= dk;
-                d_and &= dk;
-                let key = (sk & s_mask).wrapping_shl(bd as u32) | (dk & d_mask);
-                h[key.wrapping_shr(down) as usize] += 1;
-            }
-            (h, [s_or, s_and, d_or, d_and])
-        });
+        let per: Vec<(Vec<u32>, [u64; 4])> =
+            parallel_map(len, threads, Grain::PerThread, |_, range| {
+                let mut h = vec![0u32; 1 << bucket_bits];
+                let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
+                for i in range {
+                    let (s, d) = data[i];
+                    let (sk, dk) = (i64_key(s), i64_key(d));
+                    s_or |= sk;
+                    s_and &= sk;
+                    d_or |= dk;
+                    d_and &= dk;
+                    let key = (sk & s_mask).wrapping_shl(bd as u32) | (dk & d_mask);
+                    h[key.wrapping_shr(down) as usize] += 1;
+                }
+                (h, [s_or, s_and, d_or, d_and])
+            });
         let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
         for (_, m) in &per {
             s_or |= m[0];
@@ -303,7 +302,7 @@ pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
     {
         let aux_cell = DisjointSlice::new(&mut aux);
         let cursor_cell = DisjointSlice::new(&mut cursors);
-        parallel_for(len, threads, |w, range| {
+        parallel_for(len, threads, Grain::PerThread, |w, range| {
             // SAFETY: each worker touches only its own cursor row.
             let cur = unsafe { cursor_cell.slice_mut(w * buckets, (w + 1) * buckets) };
             for i in range {
@@ -328,7 +327,7 @@ pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
     let need_sort = total_bits > bucket_bits;
     let aux_cell = DisjointSlice::new(&mut aux);
     let data_cell = DisjointSlice::new(data);
-    parallel_for_dynamic(buckets, threads, |b| {
+    parallel_for(buckets, threads, Grain::Item, |b, _| {
         let (lo, hi) = (offsets[b], offsets[b + 1]);
         if lo == hi {
             return;
@@ -379,7 +378,7 @@ fn lsd_u64(data: &mut [u64], threads: usize) {
     let workers = bounds.len() - 1;
 
     // Pre-pass: per-worker histograms of all positions in one scan.
-    let pre: Vec<Box<[u32]>> = parallel_map(len, threads, |range| {
+    let pre: Vec<Box<[u32]>> = parallel_map(len, threads, Grain::PerThread, |_, range| {
         let mut h = vec![0u32; DIGITS_V * RADIX_V].into_boxed_slice();
         for i in range {
             let k = data[i];
@@ -437,7 +436,7 @@ fn lsd_u64(data: &mut [u64], threads: usize) {
                 .map(|h| h[d * RADIX_V..(d + 1) * RADIX_V].to_vec())
                 .collect()
         } else {
-            parallel_map(len, threads, |range| {
+            parallel_map(len, threads, Grain::PerThread, |_, range| {
                 let mut h = vec![0u32; RADIX_V];
                 for i in range {
                     h[digitv(src[i], d)] += 1;
@@ -466,7 +465,7 @@ fn lsd_u64(data: &mut [u64], threads: usize) {
         }
         let cursor_cell = DisjointSlice::new(&mut cursors);
 
-        parallel_for(len, threads, |w, range| {
+        parallel_for(len, threads, Grain::PerThread, |w, range| {
             // SAFETY: each worker touches only its own cursor row.
             let cur = unsafe { cursor_cell.slice_mut(w * RADIX_V, (w + 1) * RADIX_V) };
             for i in range {
@@ -505,7 +504,7 @@ where
     let workers = bounds.len() - 1;
 
     // Pre-pass: per-worker histograms of all eight digits in one scan.
-    let pre: Vec<Box<[u32]>> = parallel_map(len, threads, |range| {
+    let pre: Vec<Box<[u32]>> = parallel_map(len, threads, Grain::PerThread, |_, range| {
         let mut h = vec![0u32; DIGITS * RADIX].into_boxed_slice();
         for i in range {
             let k = key(&data[i]);
@@ -571,7 +570,7 @@ where
                 })
                 .collect()
         } else {
-            parallel_map(len, threads, |range| {
+            parallel_map(len, threads, Grain::PerThread, |_, range| {
                 let mut h = [0u32; RADIX];
                 for i in range {
                     h[digit(key(&src[i]), d)] += 1;
@@ -598,7 +597,7 @@ where
             }
         }
 
-        parallel_for(len, threads, |w, range| {
+        parallel_for(len, threads, Grain::PerThread, |w, range| {
             let mut cur = cursors[w];
             for i in range {
                 let x = src[i];

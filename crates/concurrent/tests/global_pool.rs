@@ -5,16 +5,16 @@
 //! meanwhile. This file is its own test binary — its own process — and
 //! holds this one test, so no sibling test shares the global pool.
 
-use ringo_concurrent::{parallel_for, pool_stats};
+use ringo_concurrent::{parallel_for, pool_stats, Grain};
 
 #[test]
 fn repeated_parallel_for_never_spawns_per_call() {
     // Warm the pool up, then check that 200 further dispatches change
     // only the job counters — never the worker count.
-    parallel_for(64, 4, |_, _| {});
+    parallel_for(64, 4, Grain::PerThread, |_, _| {});
     let before = pool_stats();
     for _ in 0..200 {
-        parallel_for(64, 4, |_, range| {
+        parallel_for(64, 4, Grain::PerThread, |_, range| {
             std::hint::black_box(range.sum::<usize>());
         });
     }

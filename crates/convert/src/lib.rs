@@ -17,9 +17,10 @@
 //!   written straight into two shared adjacency slabs at prefix-scanned
 //!   offsets instead of one freshly grown `Vec` per node, and
 //!   [`DirectedGraph::from_sorted_parts`] installs them with a single
-//!   pre-reserved hash table. The pre-radix pipeline
-//!   ([`table_to_graph_mergesort`]) and a naive row-at-a-time baseline
-//!   ([`table_to_graph_naive`]) are kept for the `bench_radix` ablation.
+//!   pre-reserved hash table. A naive row-at-a-time builder
+//!   ([`table_to_graph_naive`]) is kept as the oracle the tests and the
+//!   `bench_convert` ablation compare against (the pre-radix merge-sort
+//!   pipeline lives in `ringo_bench::merge_sort`).
 //! * **Graph → table** ([`graph_to_edge_table`], [`graph_to_node_table`]):
 //!   "easily performed in parallel by partitioning the graph's nodes or
 //!   edges among worker threads, pre-allocating the output table, and
@@ -28,19 +29,13 @@
 
 #![warn(missing_docs)]
 
-use ringo_concurrent::{
-    parallel_for, parallel_map, parallel_sort, radix_sort_pairs, DisjointSlice,
-};
+use ringo_concurrent::{parallel_for, parallel_map, radix_sort_pairs, DisjointSlice, Grain};
 use ringo_graph::{DirectedGraph, NodeId, UndirectedGraph};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
 
 /// Result alias reusing the table error type (conversions validate column
 /// names/types exactly like table operators).
 pub type Result<T> = std::result::Result<T, TableError>;
-
-/// Per-node adjacency triple `(id, in_nbrs, out_nbrs)` produced by the
-/// parallel fill phase.
-type NodeParts = (NodeId, Vec<NodeId>, Vec<NodeId>);
 
 /// Builds a directed graph from two integer columns of `t` using the
 /// sort-first algorithm. Duplicate rows collapse to one edge; self-loops
@@ -188,7 +183,7 @@ pub fn adjacency_parts(
         sp.rows_out(in_slab.len() + out_slab.len());
         let in_cell = DisjointSlice::new(&mut in_slab);
         let out_cell = DisjointSlice::new(&mut out_slab);
-        parallel_for(n, threads, |_, range| {
+        parallel_for(n, threads, Grain::PerThread, |_, range| {
             for k in range {
                 let (_, orun, irun) = nodes[k];
                 if let Some(r) = irun {
@@ -213,76 +208,6 @@ pub fn adjacency_parts(
         out_off,
         out_slab,
     }
-}
-
-/// Pre-radix sort-first pipeline, kept for the `bench_radix` ablation:
-/// parallel merge sort, per-node `Vec` allocation in the fill phase, and
-/// incremental hash-table installation via `from_parts`.
-pub fn table_to_graph_mergesort(t: &Table, src_col: &str, dst_col: &str) -> Result<DirectedGraph> {
-    let src = t.int_col(src_col)?;
-    let dst = t.int_col(dst_col)?;
-    let threads = t.threads();
-
-    let mut by_src: Vec<(NodeId, NodeId)> = src.iter().copied().zip(dst.iter().copied()).collect();
-    let mut by_dst: Vec<(NodeId, NodeId)> = dst.iter().copied().zip(src.iter().copied()).collect();
-    parallel_sort(&mut by_src, threads);
-    parallel_sort(&mut by_dst, threads);
-
-    let out_runs = runs_of(&by_src);
-    let in_runs = runs_of(&by_dst);
-    let mut nodes: Vec<(NodeId, Option<usize>, Option<usize>)> = Vec::new();
-    {
-        let (mut i, mut j) = (0, 0);
-        while i < out_runs.len() || j < in_runs.len() {
-            match (out_runs.get(i), in_runs.get(j)) {
-                (Some(o), Some(ir)) if o.id == ir.id => {
-                    nodes.push((o.id, Some(i), Some(j)));
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(ir)) if o.id < ir.id => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (Some(_), Some(_)) => {
-                    nodes.push((in_runs[j].id, None, Some(j)));
-                    j += 1;
-                }
-                (Some(o), None) => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (None, Some(ir)) => {
-                    nodes.push((ir.id, None, Some(j)));
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-    }
-
-    let parts: Vec<Vec<NodeParts>> = parallel_map(nodes.len(), threads, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for k in range {
-            let (id, orun, irun) = nodes[k];
-            let out_nbrs = match orun {
-                Some(r) => dedup_neighbors(&by_src[out_runs[r].start..out_runs[r].end]),
-                None => Vec::new(),
-            };
-            let in_nbrs = match irun {
-                Some(r) => dedup_neighbors(&by_dst[in_runs[r].start..in_runs[r].end]),
-                None => Vec::new(),
-            };
-            out.push((id, in_nbrs, out_nbrs));
-        }
-        out
-    });
-
-    let mut flat = Vec::with_capacity(nodes.len());
-    for p in parts {
-        flat.extend(p);
-    }
-    Ok(DirectedGraph::from_parts(flat))
 }
 
 /// Builds an undirected graph from two integer columns: each row adds the
@@ -326,7 +251,7 @@ pub fn table_to_undirected(t: &Table, src_col: &str, dst_col: &str) -> Result<Un
         fsp.rows_in(n);
         fsp.rows_out(slab.len());
         let cell = DisjointSlice::new(&mut slab);
-        parallel_for(n, threads, |_, range| {
+        parallel_for(n, threads, Grain::PerThread, |_, range| {
             for k in range {
                 // SAFETY: offsets partition the slab; node k's range is
                 // written by exactly this iteration.
@@ -410,19 +335,20 @@ pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
     let mut sp = ringo_trace::span!("convert.graph_to_edge_table");
     sp.rows_in(g.edge_count());
     let n_slots = g.n_slots();
-    let parts: Vec<(Vec<i64>, Vec<i64>)> = parallel_map(n_slots, threads, |range| {
-        let mut src = Vec::new();
-        let mut dst = Vec::new();
-        for slot in range {
-            if let Some(id) = g.slot_id(slot) {
-                for &nbr in g.out_nbrs_of_slot(slot) {
-                    src.push(id);
-                    dst.push(nbr);
+    let parts: Vec<(Vec<i64>, Vec<i64>)> =
+        parallel_map(n_slots, threads, Grain::PerThread, |_, range| {
+            let mut src = Vec::new();
+            let mut dst = Vec::new();
+            for slot in range {
+                if let Some(id) = g.slot_id(slot) {
+                    for &nbr in g.out_nbrs_of_slot(slot) {
+                        src.push(id);
+                        dst.push(nbr);
+                    }
                 }
             }
-        }
-        (src, dst)
-    });
+            (src, dst)
+        });
     let total: usize = parts.iter().map(|(s, _)| s.len()).sum();
     let mut src = Vec::with_capacity(total);
     let mut dst = Vec::with_capacity(total);
@@ -448,19 +374,20 @@ pub fn graph_to_node_table(g: &DirectedGraph, threads: usize) -> Table {
     let mut sp = ringo_trace::span!("convert.graph_to_node_table");
     sp.rows_in(g.node_count());
     let n_slots = g.n_slots();
-    let parts: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)> = parallel_map(n_slots, threads, |range| {
-        let mut ids = Vec::new();
-        let mut ind = Vec::new();
-        let mut outd = Vec::new();
-        for slot in range {
-            if let Some(id) = g.slot_id(slot) {
-                ids.push(id);
-                ind.push(g.in_nbrs_of_slot(slot).len() as i64);
-                outd.push(g.out_nbrs_of_slot(slot).len() as i64);
+    let parts: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)> =
+        parallel_map(n_slots, threads, Grain::PerThread, |_, range| {
+            let mut ids = Vec::new();
+            let mut ind = Vec::new();
+            let mut outd = Vec::new();
+            for slot in range {
+                if let Some(id) = g.slot_id(slot) {
+                    ids.push(id);
+                    ind.push(g.in_nbrs_of_slot(slot).len() as i64);
+                    outd.push(g.out_nbrs_of_slot(slot).len() as i64);
+                }
             }
-        }
-        (ids, ind, outd)
-    });
+            (ids, ind, outd)
+        });
     let total: usize = parts.iter().map(|(v, _, _)| v.len()).sum();
     let mut ids = Vec::with_capacity(total);
     let mut ind = Vec::with_capacity(total);
@@ -545,19 +472,6 @@ fn runs_of(pairs: &[(NodeId, NodeId)]) -> Vec<Run> {
     runs
 }
 
-/// Copies the second elements of a sorted run, dropping duplicates.
-/// Only the merge-sort ablation path allocates here; the radix path
-/// counts during [`runs_of`] and writes with [`write_distinct`].
-fn dedup_neighbors(run: &[(NodeId, NodeId)]) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(run.len());
-    for &(_, n) in run {
-        if out.last() != Some(&n) {
-            out.push(n);
-        }
-    }
-    out
-}
-
 /// Writes the distinct second elements of a sorted run into `out`, which
 /// must have exactly `distinct_count(run)` slots.
 fn write_distinct(run: &[(NodeId, NodeId)], out: &mut [NodeId]) {
@@ -612,27 +526,6 @@ mod tests {
             for id in naive.node_ids() {
                 assert_eq!(fast.out_nbrs(id), naive.out_nbrs(id));
                 assert_eq!(fast.in_nbrs(id), naive.in_nbrs(id));
-            }
-        }
-    }
-
-    #[test]
-    fn radix_path_matches_mergesort_path() {
-        let edges = ringo_gen::rmat(&ringo_gen::RmatConfig {
-            scale: 10,
-            edges: 8_000,
-            ..Default::default()
-        });
-        let mut t = table_of(&edges);
-        for threads in [1usize, 2, 4] {
-            t.set_threads(threads);
-            let fast = table_to_graph(&t, "src", "dst").unwrap();
-            let old = table_to_graph_mergesort(&t, "src", "dst").unwrap();
-            assert_eq!(fast.node_count(), old.node_count());
-            assert_eq!(fast.edge_count(), old.edge_count());
-            for id in old.node_ids() {
-                assert_eq!(fast.out_nbrs(id), old.out_nbrs(id));
-                assert_eq!(fast.in_nbrs(id), old.in_nbrs(id));
             }
         }
     }

@@ -21,7 +21,7 @@
 
 use crate::traits::{DirectedTopology, Direction};
 use crate::NodeId;
-use ringo_concurrent::{num_threads, parallel_for, DisjointSlice};
+use ringo_concurrent::{num_threads, parallel_for, DisjointSlice, Grain};
 use std::cell::Cell;
 
 thread_local! {
@@ -189,7 +189,7 @@ where
     {
         let cell = DisjointSlice::new(&mut adj);
         let off = &off;
-        parallel_for(n, threads, |_, range| {
+        parallel_for(n, threads, Grain::PerThread, |_, range| {
             for s in range {
                 // SAFETY: rows `[off[s], off[s + 1])` are pairwise
                 // disjoint, and chunks partition the slot range, so each

@@ -168,18 +168,16 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "checker invariants panic loudly",
     ),
     // Lock-free/parallel kernels: occupied-slot and just-inserted expects
-    // in the sequential table, chunk-fill expects in parallel_map, and
-    // the pool's lock/spawn failures which are fatal by design.
+    // in the sequential table, and the pool's lock/spawn failures which
+    // are fatal by design.
     (
         "crates/concurrent/src/hash_table.rs",
         "occupied-slot invariants",
     ),
-    ("crates/concurrent/src/parallel.rs", "chunk-fill invariant"),
     (
         "crates/concurrent/src/pool.rs",
         "poisoning/spawn failure is fatal",
     ),
-    ("crates/concurrent/src/sort.rs", "run-bound invariant"),
     // Conversion layer: prefix-sum offsets (`last()` after a push) and
     // caller-validated equal-length column extraction.
     ("crates/convert/src/lib.rs", "prefix-sum/column invariants"),

@@ -5,7 +5,7 @@
 //! never participate):
 //!
 //! 1. **Format + uniqueness.** A name passed to `span!`, `Span::enter`,
-//!    `counter`, or the traced morsel dispatchers must match
+//!    `counter`, or `parallel_map_timed` (its span name) must match
 //!    `[a-z0-9_]` segments joined by dots (≥ 2 segments). A name
 //!    registered from two or more call sites is flagged unless the
 //!    shared-name allowlist records why (e.g. the directed and
@@ -56,12 +56,10 @@ fn all_numeric(name: &str) -> bool {
         .all(|s| s.bytes().all(|b| b.is_ascii_digit()))
 }
 
-/// Functions whose first string argument names a metric.
-const NAME_TAKING_FNS: &[&str] = &[
-    "counter",
-    "parallel_map_morsels_traced",
-    "parallel_for_morsels_traced",
-];
+/// Functions whose first argument names a metric: `counter(name)` and
+/// the timed parallel region `parallel_map_timed(Some(name), …)`, whose
+/// span name is its first argument.
+const NAME_TAKING_FNS: &[&str] = &["counter", "parallel_map_timed"];
 
 /// Collects every string literal inside `children`, recursively — a
 /// literal in a name-registering position IS a metric name, well-formed
@@ -82,7 +80,7 @@ fn literals_in(children: &[TokenTree], file: &SourceFile, out: &mut Vec<(String,
 }
 
 /// Like [`literals_in`], but only before the first top-level `,` —
-/// the name argument of the traced morsel dispatchers.
+/// the name argument of `counter` and `parallel_map_timed`.
 fn first_arg_literals(children: &[TokenTree], file: &SourceFile, out: &mut Vec<(String, usize)>) {
     let end = children
         .iter()

@@ -159,6 +159,10 @@ fn metrics_trip_on_format_duplicates_and_dead_ci_assert() {
         "malformed name must trip: {msgs:?}"
     );
     assert!(
+        msgs.iter().any(|m| m.contains("`BadMorsel`")),
+        "malformed span name of a timed parallel region must trip: {msgs:?}"
+    );
+    assert!(
         msgs.iter().any(|m| m.contains("`fixture.dup`")),
         "duplicate call sites must trip: {msgs:?}"
     );

@@ -4,7 +4,7 @@
 //! addressing table and the partials merge at the end.
 
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, Table, TableError};
-use ringo_concurrent::{parallel_map, IntHashTable};
+use ringo_concurrent::{parallel_map, Grain, IntHashTable};
 
 impl Table {
     /// Counts occurrences of each distinct value in an int or str column,
@@ -14,13 +14,14 @@ impl Table {
         let i = self.schema.index_of(col)?;
         match &self.cols[i] {
             ColumnData::Int(v) => {
-                let parts: Vec<IntHashTable<u64>> = parallel_map(v.len(), self.threads, |range| {
-                    let mut m: IntHashTable<u64> = IntHashTable::new();
-                    for row in range {
-                        *m.get_or_insert_with(v[row], || 0) += 1;
-                    }
-                    m
-                });
+                let parts: Vec<IntHashTable<u64>> =
+                    parallel_map(v.len(), self.threads, Grain::PerThread, |_, range| {
+                        let mut m: IntHashTable<u64> = IntHashTable::new();
+                        for row in range {
+                            *m.get_or_insert_with(v[row], || 0) += 1;
+                        }
+                        m
+                    });
                 let mut merged: IntHashTable<u64> = IntHashTable::new();
                 for part in parts {
                     for (k, &c) in part.iter() {
@@ -47,13 +48,14 @@ impl Table {
             ColumnData::Str(v) => {
                 // Symbols are dense enough to count by symbol, resolving
                 // to text only for the output.
-                let parts: Vec<IntHashTable<u64>> = parallel_map(v.len(), self.threads, |range| {
-                    let mut m: IntHashTable<u64> = IntHashTable::new();
-                    for row in range {
-                        *m.get_or_insert_with(i64::from(v[row]), || 0) += 1;
-                    }
-                    m
-                });
+                let parts: Vec<IntHashTable<u64>> =
+                    parallel_map(v.len(), self.threads, Grain::PerThread, |_, range| {
+                        let mut m: IntHashTable<u64> = IntHashTable::new();
+                        for row in range {
+                            *m.get_or_insert_with(i64::from(v[row]), || 0) += 1;
+                        }
+                        m
+                    });
                 let mut merged: IntHashTable<u64> = IntHashTable::new();
                 for part in parts {
                     for (k, &c) in part.iter() {

@@ -6,7 +6,7 @@
 
 use crate::ops::rowkey::RowKey;
 use crate::{ColumnData, ColumnType, Result, Schema, Table, TableError};
-use ringo_concurrent::{parallel_map_morsels_traced, MorselStats};
+use ringo_concurrent::{parallel_map_timed, MorselStats};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -235,7 +235,7 @@ impl Table {
             acc: Vec<Acc>,
         }
         let (partials, stats) =
-            parallel_map_morsels_traced("plan.morsel.group", n, self.threads, |_, range| {
+            parallel_map_timed(Some("plan.morsel.group"), n, self.threads, |_, range| {
                 let mut map: HashMap<RowKey, u32> = HashMap::new();
                 let mut first_row: Vec<u32> = Vec::new();
                 let mut count: Vec<i64> = Vec::new();

@@ -9,8 +9,8 @@
 use crate::{ColumnData, Result, Table, TableError};
 use ringo_concurrent::hash_table::hash_i64;
 use ringo_concurrent::{
-    morsel_bounds, parallel_for_morsels_traced, parallel_map, parallel_map_morsels_traced,
-    DisjointSlice, IntHashTable, MorselStats,
+    morsel_bounds, parallel_map, parallel_map_timed, DisjointSlice, Grain, IntHashTable,
+    MorselStats,
 };
 use std::collections::HashMap;
 
@@ -99,7 +99,7 @@ pub(crate) fn join_pairs_sel_stats(
             let part_of = |i: usize| ((hash_i64(key_at(i)) >> shift) & (parts as u64 - 1)) as usize;
             let (scatter, offsets) = partition_build_positions(bn, build.threads, parts, &part_of);
             let indexes: Vec<IntHashTable<Vec<u32>>> =
-                parallel_map(parts, build.threads, |range| {
+                parallel_map(parts, build.threads, Grain::PerThread, |_, range| {
                     range
                         .map(|p| {
                             let slice = &scatter[offsets[p]..offsets[p + 1]];
@@ -135,7 +135,7 @@ pub(crate) fn join_pairs_sel_stats(
             };
             let (scatter, offsets) = partition_build_positions(bn, build.threads, parts, &part_of);
             let indexes: Vec<HashMap<&str, Vec<u32>>> =
-                parallel_map(parts, build.threads, |range| {
+                parallel_map(parts, build.threads, Grain::PerThread, |_, range| {
                     range
                         .map(|p| {
                             let slice = &scatter[offsets[p]..offsets[p + 1]];
@@ -209,7 +209,7 @@ fn partition_build_positions(
     if parts == 1 {
         return ((0..bn as u32).collect(), vec![0, bn]);
     }
-    let (hists, _) = parallel_map_morsels_traced("plan.morsel.join", bn, threads, |_, range| {
+    let (hists, _) = parallel_map_timed(Some("plan.morsel.join"), bn, threads, |_, range| {
         let mut h = vec![0u32; parts];
         for i in range {
             h[part_of(i)] += 1;
@@ -236,7 +236,7 @@ fn partition_build_positions(
     let mut scatter = vec![0u32; bn];
     let out = DisjointSlice::new(&mut scatter);
     let bounds = morsel_bounds(bn);
-    parallel_for_morsels_traced("plan.morsel.join", bn, threads, |morsel, range| {
+    parallel_map_timed(Some("plan.morsel.join"), bn, threads, |morsel, range| {
         debug_assert_eq!(range.start, bounds[morsel]);
         let mut cur = cursors[morsel * parts..(morsel + 1) * parts].to_vec();
         for i in range {
@@ -267,19 +267,18 @@ where
     F: Fn(usize, &mut dyn FnMut(u32)) + Sync,
 {
     let lookup = &lookup;
-    let (parts, stats) =
-        parallel_map_morsels_traced("plan.morsel.join", pn, threads, |_, range| {
-            let mut out: Vec<(u32, u32)> = Vec::new();
-            for i in range {
-                let row = match psel {
-                    Some(s) => s[i] as usize,
-                    None => i,
-                };
-                let mut emit = |b: u32| out.push((row as u32, b));
-                lookup(row, &mut emit);
-            }
-            out
-        });
+    let (parts, stats) = parallel_map_timed(Some("plan.morsel.join"), pn, threads, |_, range| {
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        for i in range {
+            let row = match psel {
+                Some(s) => s[i] as usize,
+                None => i,
+            };
+            let mut emit = |b: u32| out.push((row as u32, b));
+            lookup(row, &mut emit);
+        }
+        out
+    });
     let total = parts.iter().map(Vec::len).sum();
     let mut pairs = Vec::with_capacity(total);
     for p in parts {

@@ -9,8 +9,7 @@
 
 use crate::{ColumnData, Result, Table, TableError};
 use ringo_concurrent::{
-    morsel_bounds, parallel_for_morsels_traced, parallel_map, parallel_map_morsels_traced,
-    DisjointSlice, MorselStats,
+    morsel_bounds, parallel_map, parallel_map_timed, DisjointSlice, Grain, MorselStats,
 };
 
 /// Comparison operator for predicates.
@@ -310,7 +309,7 @@ impl Table {
             }
         };
         let (counts, _) =
-            parallel_map_morsels_traced("plan.morsel.select", n, self.threads, |_, range| {
+            parallel_map_timed(Some("plan.morsel.select"), n, self.threads, |_, range| {
                 let mut c = 0usize;
                 for i in range {
                     if compiled.eval(self, row_at(i)) {
@@ -332,8 +331,11 @@ impl Table {
             acc += c;
         }
         let out = DisjointSlice::new(&mut keep);
-        let stats =
-            parallel_for_morsels_traced("plan.morsel.select", n, self.threads, |morsel, range| {
+        let (_, stats) = parallel_map_timed(
+            Some("plan.morsel.select"),
+            n,
+            self.threads,
+            |morsel, range| {
                 debug_assert_eq!(range.start, bounds[morsel]);
                 let mut cursor = offsets[morsel];
                 for i in range {
@@ -347,7 +349,8 @@ impl Table {
                         cursor += 1;
                     }
                 }
-            });
+            },
+        );
         Ok((keep, stats))
     }
 
@@ -385,7 +388,7 @@ impl Table {
     pub fn count_where(&self, pred: &Predicate) -> Result<usize> {
         let compiled = compile(pred, self)?;
         let compiled = &compiled;
-        let counts = parallel_map(self.n_rows(), self.threads, |range| {
+        let counts = parallel_map(self.n_rows(), self.threads, Grain::PerThread, |_, range| {
             let mut c = 0usize;
             for row in range {
                 if compiled.eval(self, row) {

@@ -2,9 +2,7 @@
 //! determinism checks: every parallel operator must produce bit-identical
 //! results regardless of worker count.
 
-use ringo::concurrent::{
-    parallel_for, parallel_sort, ConcurrentIntTable, ConcurrentVec, IntHashTable,
-};
+use ringo::concurrent::{parallel_for, ConcurrentIntTable, ConcurrentVec, Grain, IntHashTable};
 use ringo::{Cmp, PageRankConfig, Predicate, Ringo};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn concurrent_vec_under_heavy_contention() {
     let n = 200_000;
     let v: ConcurrentVec<u64> = ConcurrentVec::with_capacity(n);
-    parallel_for(n, 16, |worker, range| {
+    parallel_for(n, 16, Grain::PerThread, |worker, range| {
         for i in range {
             v.push((worker as u64) << 32 | (i as u64 & 0xffff_ffff))
                 .expect("sized exactly");
@@ -36,35 +34,24 @@ fn concurrent_table_hot_keys() {
     let counters: Vec<AtomicU64> = (0..keys).map(|_| AtomicU64::new(0)).collect();
     // Pre-insert so slots are stable, then bump per-slot counters.
     let slot_of: Vec<usize> = (0..keys).map(|k| table.insert(k).0).collect();
-    parallel_for(workers * per_worker, workers, |_, range| {
-        for i in range {
-            let k = (i as i64) % keys;
-            let (slot, fresh) = table.insert(k);
-            assert!(!fresh, "key was pre-inserted");
-            assert_eq!(slot, slot_of[k as usize], "slots are stable");
-            let idx = slot_of.iter().position(|&s| s == slot).unwrap();
-            counters[idx].fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    parallel_for(
+        workers * per_worker,
+        workers,
+        Grain::PerThread,
+        |_, range| {
+            for i in range {
+                let k = (i as i64) % keys;
+                let (slot, fresh) = table.insert(k);
+                assert!(!fresh, "key was pre-inserted");
+                assert_eq!(slot, slot_of[k as usize], "slots are stable");
+                let idx = slot_of.iter().position(|&s| s == slot).unwrap();
+                counters[idx].fetch_add(1, Ordering::Relaxed);
+            }
+        },
+    );
     let total: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
     assert_eq!(total as usize, workers * per_worker);
     assert_eq!(table.len(), keys as usize);
-}
-
-#[test]
-fn parallel_sort_is_deterministic_across_thread_counts() {
-    let mut base: Vec<i64> = (0..300_000)
-        .map(|i: i64| (i.wrapping_mul(2_654_435_761)) % 10_000)
-        .collect();
-    let mut expect = base.clone();
-    expect.sort_unstable();
-    for threads in [2, 3, 5, 8] {
-        let mut data = base.clone();
-        parallel_sort(&mut data, threads);
-        assert_eq!(data, expect, "threads={threads}");
-    }
-    base.sort_unstable();
-    assert_eq!(base, expect);
 }
 
 #[test]
@@ -154,7 +141,7 @@ fn worker_panic_propagates_not_deadlocks() {
     // A panicking worker must abort the whole parallel_for with a panic,
     // not hang the scope.
     let result = std::panic::catch_unwind(|| {
-        parallel_for(1000, 4, |_, range| {
+        parallel_for(1000, 4, Grain::PerThread, |_, range| {
             for i in range {
                 assert!(i != 500, "injected failure");
             }

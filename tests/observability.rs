@@ -32,7 +32,7 @@ fn pool_fed_counters_lose_no_updates() {
     // final value must be exact — the registry is lock-free, not racy.
     let per_chunk = 50_000u64;
     let c = trace::counter("test.pool_adds");
-    ringo::concurrent::parallel_for(8, 8, |_, range| {
+    ringo::concurrent::parallel_for(8, 8, ringo::concurrent::Grain::PerThread, |_, range| {
         for _ in range {
             for _ in 0..per_chunk {
                 c.add(1);

@@ -8,7 +8,8 @@
 //!
 //! * PageRank, personalized PageRank, HITS and eigenvector centrality
 //!   must be bit-identical to the per-edge hash-lookup loops they
-//!   replaced, kept below as oracles;
+//!   replaced, kept below as oracles, and PageRank bit-identical across
+//!   thread counts on a graph spanning several morsels;
 //! * BFS distances and parents, unweighted SSSP, WCC, SCC and triangle
 //!   counts must equal plain-array oracles;
 //! * core numbers and the 3-core, DFS preorder, topological order and
@@ -27,7 +28,7 @@ use ringo::algo::{
     sssp_unweighted, strongly_connected_components, topological_sort, weakly_connected_components,
     weakly_connected_components_parallel, Components, FrontierEngine, HitsScores,
 };
-use ringo::concurrent::parallel_reduce;
+use ringo::concurrent::morsel_rows;
 use ringo::gen::{edges_to_table, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::{Catalog, DirectedGraph, Direction, GcPolicy, NodeId, PageRankConfig, UndirectedGraph};
@@ -116,22 +117,21 @@ fn pagerank_oracle(g: &DirectedGraph, cfg: &PageRankConfig) -> Vec<(NodeId, f64)
                 0.0
             };
         }
-        // Same chunking as the kernel: the one thread-dependent sum.
-        let dangling: f64 = parallel_reduce(
-            n_slots,
-            cfg.threads,
-            0.0,
-            |range| {
+        // The kernel's dangling sum: per-morsel partials folded in morsel
+        // order, over the same fixed morsels at every thread count.
+        let m = morsel_rows();
+        let dangling: f64 = (0..n_slots)
+            .step_by(m)
+            .map(|lo| {
                 let mut s = 0.0;
-                for i in range {
+                for i in lo..(lo + m).min(n_slots) {
                     if live[i] && out_deg[i] == 0 {
                         s += rank[i];
                     }
                 }
                 s
-            },
-            |a, b| a + b,
-        );
+            })
+            .fold(0.0, |a, b| a + b);
         let base = (1.0 - cfg.damping) / n + cfg.damping * dangling / n;
         for s in 0..n_slots {
             if !live[s] {
@@ -491,6 +491,33 @@ fn score_kernels_are_bit_identical_to_hash_lookup_loops() {
         for threads in THREADS {
             check_scores(&g, threads);
         }
+    }
+}
+
+/// PageRank on a graph spanning several morsels, with dangling nodes in
+/// each: the output is bitwise equal at every thread count (and to the
+/// oracle).
+#[test]
+fn pagerank_is_bit_identical_at_every_thread_count() {
+    let n = 150_000i64;
+    let edges: Vec<(i64, i64)> = (0..n)
+        .filter(|i| i % 3 != 0)
+        .flat_map(|i| [(i, (i * 7 + 1) % n), (i, (i * 13 + 5) % n)])
+        .collect();
+    let g = ringo::convert::table_to_graph(&edges_to_table(&edges), "src", "dst").unwrap();
+    assert!(g.n_slots() > 2 * morsel_rows(), "spans several morsels");
+    let cfg = |threads| PageRankConfig {
+        iterations: 10,
+        ..config(threads, None)
+    };
+    let want = pagerank(&g, &cfg(1));
+    assert_bits("pagerank vs oracle", &want, &pagerank_oracle(&g, &cfg(1)));
+    for threads in THREADS {
+        assert_bits(
+            &format!("pagerank at {threads} threads"),
+            &pagerank(&g, &cfg(threads)),
+            &want,
+        );
     }
 }
 
